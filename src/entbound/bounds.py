@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .linalg import DensityMatrix, matrix_power_psd, partial_trace, trace_norm
-from .measures import mutual_information
+from .measures import _sign_observable, mutual_information
 from .modular import relative_entropy
 
 
@@ -173,10 +173,10 @@ def mutual_info_correlator_bound(rho: DensityMatrix, trials: int = 64, seed: int
         for _ in range(4):
             mb = np.einsum("abcd,ca->bd", t, a) - float(np.trace(ra @ a).real) * rb
             mb = 0.5 * (mb + mb.conj().T)
-            b = _sign(mb)
+            b = _sign_observable(mb)
             ma = np.einsum("abcd,db->ac", t, b) - float(np.trace(rb @ b).real) * ra
             ma = 0.5 * (ma + ma.conj().T)
-            a = _sign(ma)
+            a = _sign_observable(ma)
         best = max(best, abs(_connected_correlator(rho, a, b)))
     x = 0.5 * best
     value = gap_s(x) if 0.0 < x < 1.0 else 0.0
@@ -184,11 +184,6 @@ def mutual_info_correlator_bound(rho: DensityMatrix, trials: int = 64, seed: int
     if value > ei + 1e-8:
         raise BoundsError(f"correlator bound {value} exceeds the mutual information {ei}")
     return value
-
-
-def _sign(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.where(w >= 0, 1.0, -1.0)) @ v.conj().T
 
 
 @dataclass(frozen=True)

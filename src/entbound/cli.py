@@ -4,6 +4,7 @@ CSV/JSON emission and reproducibility manifests."""
 from __future__ import annotations
 
 import argparse
+import contextvars
 import datetime
 import hashlib
 import json
@@ -21,7 +22,7 @@ from . import gaussian as gaussian_mod
 from . import integrable as integrable_mod
 from . import sectors as sectors_mod
 from .bounds import PackingConfig, area_law_lower, gap_s, mutual_info_correlator_bound
-from .linalg import LinalgError, load_state
+from .linalg import load_state
 from .measures import (
     bell_correlation,
     log_dominance_upper,
@@ -33,9 +34,10 @@ from .measures import (
 
 
 def _fmt(x) -> str:
+    """CSV cell: floats round-trip, commas in messages become semicolons."""
     if isinstance(x, float):
         return f"{x:.17g}"
-    return str(x)
+    return str(x).replace(",", ";")
 
 
 def parse_points(spec: str, integer: bool = False):
@@ -64,7 +66,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[str]) -> None:
+# options that name input files; the manifest records their digests
+_INPUT_OPTIONS = ("state", "diamonds", "spectrum_file")
+
+
+def write_manifest(out_path: Path, args: argparse.Namespace) -> None:
+    inputs = [p for p in (getattr(args, k, None) for k in _INPUT_OPTIONS) if p]
     manifest = {
         "command": ["entbound"] + getattr(args, "_raw_argv", []),
         "params": {k: v for k, v in vars(args).items()
@@ -83,72 +90,64 @@ def _jsonable(v) -> bool:
     return isinstance(v, (int, float, str, bool, list, tuple, type(None)))
 
 
-def emit_rows(args, header: list[str], rows: list[dict], inputs: list[str] = ()) -> int:
-    """Write sweep rows as CSV (plus manifest) or print them; exit code 2
-    only when every row failed."""
-    lines = [",".join(header)]
-    failures = 0
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in header))
-        if row.get("error"):
-            failures += 1
-    text = "\n".join(lines) + "\n"
+def _emit(args, text: str) -> None:
+    """Write ``text`` to ``--out`` plus its manifest, or to stdout."""
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        write_manifest(Path(args.out), args, list(inputs))
+        write_manifest(Path(args.out), args)
     else:
         sys.stdout.write(text)
-    if rows and failures == len(rows):
-        return 2
+
+
+def emit_json(args, record: dict) -> int:
+    _emit(args, json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 
+def emit_rows(args, header: list[str], rows: list[dict]) -> int:
+    """Write sweep rows as CSV; exit code 2 only when every row failed."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(row.get(col, "")) for col in header) for row in rows]
+    _emit(args, "\n".join(lines) + "\n")
+    return 2 if rows and all(row.get("error") for row in rows) else 0
+
+
 def _map_rows(fn, points):
+    """Rows in parameter order; each worker row runs in a copy of the
+    caller's context, so it sees the caller's tolerance profile."""
     threads = int(os.environ.get("ENTBOUND_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, points))
+            futures = [pool.submit(contextvars.copy_context().run, fn, p) for p in points]
+            return [f.result() for f in futures]
     return [fn(p) for p in points]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+# each entry looks its function up by name when called, so a wrapper put on
+# this module's names (to count or time calls) applies
+_MEASURES = {
+    "EI": lambda rho, args: mutual_information(rho),
+    "ER": lambda rho, args: relative_entanglement_entropy_upper(
+        rho, restarts=args.er_restarts, seed=args.seed),
+    "EN": lambda rho, args: log_dominance_upper(rho),
+    "EM": lambda rho, args: modular_nuclearity_upper(rho),
+    "EB": lambda rho, args: bell_correlation(rho, seed=args.seed),
+}
+
 
 def cmd_measures(args) -> int:
-    try:
-        rho = load_state(args.state)
-    except (LinalgError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    rho = load_state(args.state)
     wanted = [m.strip().upper() for m in args.measures.split(",") if m.strip()]
-    records = []
-    try:
-        for name in wanted:
-            if name == "EI":
-                res = mutual_information(rho)
-            elif name == "ER":
-                res = relative_entanglement_entropy_upper(
-                    rho, restarts=args.er_restarts, seed=args.seed
-                )
-            elif name == "EN":
-                res = log_dominance_upper(rho)
-            elif name == "EM":
-                res = modular_nuclearity_upper(rho)
-            elif name == "EB":
-                res = bell_correlation(rho, seed=args.seed)
-            else:
-                sys.stderr.write(f"error: unknown measure {name!r}\n")
-                return 1
-            rec = res.to_record()
-            rec["seed"] = args.seed
-            records.append(rec)
-    except (LinalgError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    report: dict = {"state": args.state, "results": records}
+    for name in wanted:
+        if name not in _MEASURES:
+            raise ValueError(f"unknown measure {name!r}")
+    report: dict = {"state": args.state}
     if {"EI", "ER", "EN", "EM"} <= set(wanted):
         audit = ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts)
+        results = audit.results
         report["ordering_audit"] = {
             "values": audit.values,
             "links": [
@@ -157,13 +156,10 @@ def cmd_measures(args) -> int:
             ],
             "ok": audit.ok,
         }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        write_manifest(Path(args.out), args, [args.state])
     else:
-        sys.stdout.write(text)
-    return 0
+        results = {name: _MEASURES[name](rho, args) for name in dict.fromkeys(wanted)}
+    report["results"] = [dict(results[name].to_record(), seed=args.seed) for name in wanted]
+    return emit_json(args, report)
 
 
 def cmd_gaussian(args) -> int:
@@ -172,32 +168,22 @@ def cmd_gaussian(args) -> int:
     region_a = tuple(range(a_lo, a_hi + 1))
     gaps = parse_points(args.gap, integer=True)
     state = gaussian_mod.build_state(geom)
+    header = ["gap_sites", "r", "upper_bound", "lower_bound", "error"]
 
     def one(gap):
-        row = {"gap_sites": gap, "r": gap * geom.spacing, "error": ""}
         try:
-            start_b = max(region_a) + 1 + gap
-            regions = gaussian_mod.RegionSpec(region_a, tuple(range(start_b, geom.sites)))
-            row["upper_bound"] = gaussian_mod.kg_upper_bound(state, regions)
-            row["lower_bound"] = (
-                gaussian_mod.correlator_lower_bound(state, regions, trials=args.trials, seed=args.seed)
-                if args.trials
-                else 0.0
-            )
-        except (gaussian_mod.GaussianError, ValueError) as exc:
-            row["error"] = str(exc).replace(",", ";")
-        return row
+            row = gaussian_mod.decay_row(state, region_a, gap, args.trials, args.seed)
+        except ValueError as exc:
+            return {"gap_sites": gap, "r": gap * geom.spacing, "error": str(exc)}
+        return dict(zip(header, row), error="")
 
-    rows = _map_rows(one, gaps)
-    return emit_rows(args, ["gap_sites", "r", "upper_bound", "lower_bound", "error"], rows)
+    return emit_rows(args, header, _map_rows(one, gaps))
 
 
 def _build_smatrix(args) -> integrable_mod.SMatrix:
     if args.model == "sinh-gordon":
         return integrable_mod.sinh_gordon(args.g)
-    if args.model == "custom":
-        return integrable_mod.SMatrix(tuple(float(b) for b in args.poles.split(",")))
-    raise ValueError(f"unknown model {args.model!r}")
+    return integrable_mod.SMatrix(tuple(float(b) for b in args.poles.split(",")))
 
 
 def cmd_integrable(args) -> int:
@@ -216,7 +202,7 @@ def cmd_integrable(args) -> int:
                 row["error"] = "series diverges at this separation"
             row["asymptotic"] = res.asymptotic
         except integrable_mod.IntegrableError as exc:
-            row["error"] = str(exc).replace(",", ";")
+            row["error"] = str(exc)
         return row
 
     rows = _map_rows(one, points)
@@ -237,7 +223,7 @@ def cmd_dirac(args) -> int:
             row["value"] = integrable_mod.dirac_halfline_bound(args.m, eps, spectrum, args.delta)
             row["log_ref"] = abs(math.log(2 * args.m * eps))
         except integrable_mod.IntegrableError as exc:
-            row["error"] = str(exc).replace(",", ";")
+            row["error"] = str(exc)
         return row
 
     rows = _map_rows(one, points)
@@ -271,120 +257,87 @@ def _load_spectrum(path: str):
 
 def cmd_cft(args) -> int:
     out: dict = {}
-    try:
-        if args.diamonds:
-            cfg_raw = json.loads(Path(args.diamonds).read_text(encoding="utf-8"))
-            cfg = cft_mod.DiamondConfig(
-                x_a_plus=np.array(cfg_raw["x_a_plus"], dtype=float),
-                x_a_minus=np.array(cfg_raw["x_a_minus"], dtype=float),
-                x_b_plus=np.array(cfg_raw["x_b_plus"], dtype=float),
-                x_b_minus=np.array(cfg_raw["x_b_minus"], dtype=float),
-            )
-            u, v = cft_mod.cross_ratios(cfg)
-            tau, theta = cft_mod.tau_theta(u, v)
-            out.update({"u": u, "v": v, "tau": tau, "theta": theta})
-            if args.spectrum or args.spectrum_file:
-                spec = args.spectrum or _load_spectrum(args.spectrum_file)
-                if isinstance(spec, str):
-                    if abs(theta) > 1e-12:
-                        raise cft_mod.CftError("named spectra support only theta = 0")
-                    out["bound"] = cft_mod.concentric_bound(spec, math.exp(-tau))
-                else:
-                    out["bound"] = cft_mod.general_bound_3p1(spec, tau, theta)
-        elif args.chiral:
-            if not args.spectrum_file:
-                raise ValueError("--chiral needs --spectrum-file with l0,degeneracy rows")
-            intervals = tuple(float(x) for x in args.chiral.split(","))
-            spec = _load_spectrum(args.spectrum_file)
-            out["xi"] = cft_mod.chiral_cross_ratio(*intervals)
-            out["bound"] = cft_mod.chiral_bound(spec, intervals)
-        else:
+    if args.diamonds:
+        cfg_raw = json.loads(Path(args.diamonds).read_text(encoding="utf-8"))
+        cfg = cft_mod.DiamondConfig(
+            x_a_plus=np.array(cfg_raw["x_a_plus"], dtype=float),
+            x_a_minus=np.array(cfg_raw["x_a_minus"], dtype=float),
+            x_b_plus=np.array(cfg_raw["x_b_plus"], dtype=float),
+            x_b_minus=np.array(cfg_raw["x_b_minus"], dtype=float),
+        )
+        u, v = cft_mod.cross_ratios(cfg)
+        tau, theta = cft_mod.tau_theta(u, v)
+        out.update({"u": u, "v": v, "tau": tau, "theta": theta})
+        if args.spectrum or args.spectrum_file:
             spec = args.spectrum or _load_spectrum(args.spectrum_file)
-            out["ratio"] = args.ratio
-            out["bound"] = cft_mod.concentric_bound(spec, args.ratio)
-    except (cft_mod.CftError, ValueError, OSError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        inputs = [p for p in (args.diamonds, args.spectrum_file) if p]
-        write_manifest(Path(args.out), args, inputs)
+            if isinstance(spec, str):
+                if abs(theta) > 1e-12:
+                    raise cft_mod.CftError("named spectra support only theta = 0")
+                out["bound"] = cft_mod.concentric_bound(spec, math.exp(-tau))
+            else:
+                out["bound"] = cft_mod.general_bound_3p1(spec, tau, theta)
+    elif args.chiral:
+        if not args.spectrum_file:
+            raise ValueError("--chiral needs --spectrum-file with l0,degeneracy rows")
+        intervals = tuple(float(x) for x in args.chiral.split(","))
+        spec = _load_spectrum(args.spectrum_file)
+        out["xi"] = cft_mod.chiral_cross_ratio(*intervals)
+        out["bound"] = cft_mod.chiral_bound(spec, intervals)
     else:
-        sys.stdout.write(text)
-    return 0
+        spec = args.spectrum or _load_spectrum(args.spectrum_file)
+        out["ratio"] = args.ratio
+        out["bound"] = cft_mod.concentric_bound(spec, args.ratio)
+    return emit_json(args, out)
 
 
 def cmd_sectors(args) -> int:
     out: dict = {}
-    try:
-        if args.young:
-            rows = tuple(int(x) for x in args.young.split(","))
-            dim = sectors_mod.young_dim(sectors_mod.YoungDiagram(rows), args.N)
-            out["young"] = list(rows)
-            out["N"] = args.N
-            out["dim"] = int(dim) if isinstance(dim, int) else float(dim)
-            out["er_delta_max"] = 2.0 * math.log(float(dim))
-            out["em_delta_max"] = 2.5 * math.log(float(dim))
-        elif args.minimal_model:
-            p, m, n = (int(x) for x in args.minimal_model.split(","))
-            out["labels"] = [p, m, n]
-            out["dim"] = sectors_mod.minimal_model_dim(p, m, n)
-        elif args.mu_index_p:
-            out["p"] = args.mu_index_p
-            out["mu_index"] = sectors_mod.minimal_model_mu_index(args.mu_index_p)
-        else:
-            sys.stderr.write("error: choose --young, --minimal-model or --mu-index\n")
-            return 1
-    except sectors_mod.SectorError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        write_manifest(Path(args.out), args, [])
+    if args.young:
+        rows = tuple(int(x) for x in args.young.split(","))
+        dim = sectors_mod.young_dim(sectors_mod.YoungDiagram(rows), args.N)
+        out["young"] = list(rows)
+        out["N"] = args.N
+        out["dim"] = int(dim) if isinstance(dim, int) else float(dim)
+        out["er_delta_max"] = 2.0 * math.log(float(dim))
+        out["em_delta_max"] = 2.5 * math.log(float(dim))
+    elif args.minimal_model:
+        p, m, n = (int(x) for x in args.minimal_model.split(","))
+        out["labels"] = [p, m, n]
+        out["dim"] = sectors_mod.minimal_model_dim(p, m, n)
+    elif args.mu_index_p:
+        out["p"] = args.mu_index_p
+        out["mu_index"] = sectors_mod.minimal_model_mu_index(args.mu_index_p)
     else:
-        sys.stdout.write(text)
-    return 0
+        raise ValueError("choose --young, --minimal-model or --mu-index")
+    return emit_json(args, out)
 
 
 def cmd_lower(args) -> int:
     out: dict = {}
-    try:
-        if args.s_of is not None:
-            out["x"] = args.s_of
-            out["s"] = gap_s(args.s_of)
-        elif args.area:
-            cfg = PackingConfig(
-                eps=args.eps,
-                d=args.area,
-                d2=args.d2,
-                boundary_area=args.boundary,
-                length_a=args.len_a,
-                length_b=args.len_b,
-            )
-            n, bound = area_law_lower(cfg)
-            out.update({"pair_count": n, "bound": bound})
-            if n == 0:
-                out["warning"] = "corridor too wide: no pairs fit"
-        elif args.state:
-            rho = load_state(args.state)
-            out["correlator_bound"] = mutual_info_correlator_bound(
-                rho, trials=args.trials, seed=args.seed
-            )
-        else:
-            sys.stderr.write("error: choose --s-of, --area or --state\n")
-            return 1
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        write_manifest(Path(args.out), args, [args.state] if args.state else [])
+    if args.s_of is not None:
+        out["x"] = args.s_of
+        out["s"] = gap_s(args.s_of)
+    elif args.area:
+        cfg = PackingConfig(
+            eps=args.eps,
+            d=args.area,
+            d2=args.d2,
+            boundary_area=args.boundary,
+            length_a=args.len_a,
+            length_b=args.len_b,
+        )
+        n, bound = area_law_lower(cfg)
+        out.update({"pair_count": n, "bound": bound})
+        if n == 0:
+            out["warning"] = "corridor too wide: no pairs fit"
+    elif args.state:
+        rho = load_state(args.state)
+        out["correlator_bound"] = mutual_info_correlator_bound(
+            rho, trials=args.trials, seed=args.seed
+        )
     else:
-        sys.stdout.write(text)
-    return 0
+        raise ValueError("choose --s-of, --area or --state")
+    return emit_json(args, out)
 
 
 def cmd_replay(args) -> int:
@@ -491,14 +444,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its tolerance profile applies to this call only.
+
+    A command that fails as a whole (bad input, unreadable file) prints
+    ``error: ...`` to stderr and returns 1; a failing sweep row is reported
+    in its own row instead.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    config.DEFAULT = config.PROFILES[args.tol_profile]
     args._raw_argv = argv
     if args.subcommand == "sweep":
         return main([args.domain] + args.rest)
-    return args.func(args)
+    token = config.PROFILE.set(config.PROFILES[args.tol_profile])
+    try:
+        return args.func(args)
+    except (ValueError, OSError, KeyError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    finally:
+        config.PROFILE.reset(token)
 
 
 if __name__ == "__main__":

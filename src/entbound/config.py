@@ -2,10 +2,14 @@
 
 All structural and reconstruction tolerances used across the library live
 here so they can be tuned in one place (or swapped wholesale via a profile).
+The profile in force is a context variable: a caller sets it for the extent
+of one call and resets it afterwards, so it never leaks into later calls or
+into other threads' contexts.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 
@@ -33,4 +37,9 @@ LATTICE = replace(STRICT, structural_abs=1e-8, psd_slack=1e-8)
 
 PROFILES = {"strict": STRICT, "lattice": LATTICE}
 
-DEFAULT = STRICT
+PROFILE: ContextVar[Tolerances] = ContextVar("entbound_tolerances", default=STRICT)
+
+
+def current() -> Tolerances:
+    """The tolerance profile in force in the calling context (STRICT unless set)."""
+    return PROFILE.get()

@@ -107,7 +107,7 @@ def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray,
     for p in (-0.25, 0.25):
         cols = state.c_power(p)[:, idx]
         q, s, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(s > config.DEFAULT.rank_cut * max(float(s[0]), 1.0)))
+        rank = int(np.sum(s > config.current().rank_cut * max(float(s[0]), 1.0)))
         if rank < len(idx):
             warnings.warn(
                 f"region columns are numerically dependent: rank {rank} < {len(idx)}",
@@ -262,6 +262,25 @@ def correlator_lower_bound(
     return best
 
 
+def decay_row(
+    state: LatticeGaussianState,
+    region_a: tuple[int, ...],
+    gap: int,
+    trials: int = 0,
+    seed: int = 0,
+) -> tuple[int, float, float, float]:
+    """(gap_sites, separation r, upper_bound, lower_bound) at one A-B gap.
+
+    B is everything beyond the gap to the right of A; the lower bound is 0
+    unless ``trials`` asks for sampled Weyl correlators.
+    """
+    start_b = max(region_a) + 1 + int(gap)
+    regions = RegionSpec(tuple(region_a), tuple(range(start_b, state.geometry.sites)))
+    upper = kg_upper_bound(state, regions)
+    lower = correlator_lower_bound(state, regions, trials=trials, seed=seed) if trials else 0.0
+    return int(gap), gap * state.geometry.spacing, upper, lower
+
+
 def decay_sweep(
     geom: LatticeGeometry,
     region_a: tuple[int, ...],
@@ -271,20 +290,15 @@ def decay_sweep(
 ):
     """Upper (and optional lower) bounds versus the A-B gap in sites.
 
-    Returns rows (gap_sites, separation r, upper_bound, lower_bound) with B
-    taken as everything beyond the gap to the right of A.
+    Returns one :func:`decay_row` per gap; a gap that leaves region B fewer
+    than two sites raises.
     """
     state = build_state(geom)
-    a_max = max(region_a)
     rows = []
     for gap in gaps:
-        start_b = a_max + 1 + int(gap)
-        if start_b >= geom.sites - 1:
+        if max(region_a) + 1 + int(gap) >= geom.sites - 1:
             raise GaussianError(f"gap {gap} leaves no room for region B")
-        regions = RegionSpec(tuple(region_a), tuple(range(start_b, geom.sites)))
-        upper = kg_upper_bound(state, regions)
-        lower = correlator_lower_bound(state, regions, trials=trials, seed=seed) if trials else 0.0
-        rows.append((int(gap), gap * geom.spacing, upper, lower))
+        rows.append(decay_row(state, region_a, gap, trials, seed))
     return rows
 
 

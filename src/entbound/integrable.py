@@ -317,14 +317,18 @@ def vacuum_bound(
     asymptotic = (4.0 * math.e / kappa) * math.sqrt(norm / (math.pi * mr)) * math.exp(-mr * (1.0 - delta))
     if q1 * max(1.0, c) >= 1.0:
         return VacuumBoundResult(False, None, None, asymptotic, 0, norm)
+    # q^n and (q c)^n are running products of their own: c^n alone overflows
+    # while q^n underflows just past the threshold, and 0 * inf is nan;
+    # q c < 1 holds here, so neither product can overflow
+    qc = q1 * c
     nu = 1.0
     qn = 1.0
-    cn = 1.0
+    qcn = 1.0
     n_terms = 0
     for n in range(1, max_terms + 1):
         qn *= q1
-        cn *= c
-        term = qn * max(1.0, cn * kappa_factor)
+        qcn *= qc
+        term = max(qn, qcn * kappa_factor)
         nu += term
         n_terms = n
         if term < term_tol * nu:

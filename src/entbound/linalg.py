@@ -31,7 +31,7 @@ def is_hermitian(m: np.ndarray, rtol: float | None = None) -> bool:
         return False
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         return False
-    rtol = config.DEFAULT.reconstruction_rel * 1e-3 if rtol is None else rtol
+    rtol = config.current().reconstruction_rel * 1e-3 if rtol is None else rtol
     scale = max(float(np.linalg.norm(m)), 1.0)
     return bool(np.linalg.norm(m - m.conj().T) <= rtol * scale)
 
@@ -94,7 +94,7 @@ def _domain_mask(domain: Callable[[np.ndarray], bool], w: np.ndarray) -> np.ndar
 
 def matrix_power_psd(m: np.ndarray, p: float) -> np.ndarray:
     """Fractional power of a PSD Hermitian matrix (negative eigs clipped)."""
-    tol = config.DEFAULT.psd_slack
+    tol = config.current().psd_slack
 
     def guard(w: np.ndarray) -> bool:
         if p < 0 or (0 < p < 1):
@@ -106,25 +106,12 @@ def matrix_power_psd(m: np.ndarray, p: float) -> np.ndarray:
             # sub-support eigenvalues are zero by convention; fractional
             # powers would otherwise amplify round-off noise
             out = np.zeros_like(w)
-            pos = w > config.DEFAULT.support_cut
+            pos = w > config.current().support_cut
             out[pos] = w[pos] ** p
             return out
         return np.where(w > 0, w, 0.0) ** p
 
     return matrix_function(m, f, domain=guard, domain_name=f"x**{p}", clip_floor=tol)
-
-
-def matrix_log_psd(m: np.ndarray, support_cut: float | None = None) -> np.ndarray:
-    """log(m) on the support of a PSD matrix (zero eigenvalues stay zero)."""
-    cut = config.DEFAULT.support_cut if support_cut is None else support_cut
-
-    def f(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        pos = w > cut
-        out[pos] = np.log(w[pos])
-        return out
-
-    return matrix_function(m, f, clip_floor=config.DEFAULT.psd_slack)
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -154,7 +141,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        tol = config.DEFAULT
+        tol = config.current()
         if self.dimA < 1 or self.dimB < 1:
             raise LinalgError("dimensions must be positive")
         m = check_hermitian(np.asarray(self.matrix, dtype=complex), "density matrix")
@@ -177,7 +164,7 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
     def is_faithful(self, min_eig: float | None = None) -> bool:
-        cut = config.DEFAULT.faithful_min_eig if min_eig is None else min_eig
+        cut = config.current().faithful_min_eig if min_eig is None else min_eig
         return bool(self.eigenvalues().min() > cut)
 
     def purity(self) -> float:
@@ -266,11 +253,6 @@ def random_density_matrix(
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ g.conj().T
     return DensityMatrix(dimA=dimA, dimB=dimB, matrix=m / np.trace(m).real)
-
-
-def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class MeasureResult:
 
 def von_neumann_entropy(m: np.ndarray) -> float:
     w = np.linalg.eigvalsh(m)
-    w = w[w > config.DEFAULT.support_cut]
+    w = w[w > config.current().support_cut]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -138,7 +138,7 @@ def schmidt_entropy(psi: np.ndarray, dimA: int, dimB: int) -> MeasureResult:
     """Entanglement entropy of a pure state (exact value of E_R and E_D)."""
     s, _, _ = schmidt_decomposition(psi, dimA, dimB)
     p = s**2
-    p = p[p > config.DEFAULT.support_cut]
+    p = p[p > config.current().support_cut]
     value = float(-np.sum(p * np.log(p)))
     rho = np.outer(psi, np.conj(psi))
     dm = DensityMatrix(dimA, dimB, rho)
@@ -437,7 +437,7 @@ def _modular_quarter(omega: np.ndarray, alg_dim: int, com_dim: int, alg_first: b
     com_cols = np.column_stack([
         mk_com(_matrix_unit(com_dim, i, j)) @ omega for i in range(com_dim) for j in range(com_dim)
     ])
-    q = _span_projector(com_cols, config.DEFAULT.rank_cut * 0.1)
+    q = _span_projector(com_cols, config.current().rank_cut * 0.1)
     u_cols, w_cols = [], []
     for i in range(alg_dim):
         for j in range(alg_dim):
@@ -511,7 +511,7 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
 def _full_schmidt_rank(rho: DensityMatrix) -> bool:
     wa = np.linalg.eigvalsh(partial_trace(rho, "A").matrix)
     wb = np.linalg.eigvalsh(partial_trace(rho, "B").matrix)
-    cut = config.DEFAULT.faithful_min_eig
+    cut = config.current().faithful_min_eig
     return bool(wa.min() > cut and wb.min() > cut)
 
 
@@ -644,6 +644,7 @@ def verify_certificate(rho: DensityMatrix, result: MeasureResult, tol: float = 1
 class OrderingReport:
     values: dict
     links: list[tuple[str, float, float, bool]]
+    results: dict   # measure name -> MeasureResult
 
     @property
     def ok(self) -> bool:
@@ -666,24 +667,27 @@ def ordering_audit(
     The two asserted links are the ones provable from the certificates: the
     relative entropy to the normalized dominating functional never exceeds
     the dominance bound, and the matrix-unit dominance bound never exceeds
-    the modular bound built from the same matrix units.
+    the modular bound built from the same matrix units.  Every result is
+    returned in ``results``, so callers need not evaluate a measure again.
     """
-    ei = mutual_information(rho)
-    en = log_dominance_upper(rho, "matrix_unit")
-    em = modular_nuclearity_upper(rho)
-    values = {"EI": ei.value, "EN_upper": en.value, "EM_upper": em.value}
+    results = {
+        "EI": mutual_information(rho),
+        "EN": log_dominance_upper(rho, "matrix_unit"),
+        "EM": modular_nuclearity_upper(rho),
+    }
     if include_er:
-        er = relative_entanglement_entropy_upper(rho, restarts=er_restarts, seed=seed)
-        values["ER_upper"] = er.value
+        results["ER"] = relative_entanglement_entropy_upper(rho, restarts=er_restarts, seed=seed)
     if include_eb:
-        eb = bell_correlation(rho, seed=seed)
-        values["EB"] = eb.value
+        results["EB"] = bell_correlation(rho, seed=seed)
+    values = {(f"{name}_upper" if res.kind == UPPER else name): res.value
+              for name, res in results.items()}
+    en, em = results["EN"], results["EM"]
     h_sigma = en.meta["h_to_normalized_sigma"]
     links = [
         ("H(rho, sigma_N/tr) <= EN_upper", h_sigma, en.value, bool(h_sigma <= en.value + slack)),
         ("EN_upper <= EM_upper", en.value, em.value, bool(en.value <= em.value + slack)),
     ]
-    return OrderingReport(values=values, links=links)
+    return OrderingReport(values=values, links=links, results=results)
 
 
 def tensor_decompositions(

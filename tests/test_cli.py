@@ -2,10 +2,23 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import entbound.cli as cli
+import entbound.integrable as integrable
+import entbound.measures as measures
+from entbound import config
 from entbound.cli import main, parse_points
-from entbound.linalg import maximally_entangled, product_state, random_density_matrix, save_state
+from entbound.linalg import (
+    LinalgError,
+    density_matrix,
+    load_state,
+    maximally_entangled,
+    product_state,
+    random_density_matrix,
+    save_state,
+)
 
 
 @pytest.fixture
@@ -202,3 +215,97 @@ class TestOtherCommands:
         out2 = tmp_path / "s.csv"
         assert main(["dirac", "--m", "1.0", "--eps", "0.1,0.05,0.025", "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
+
+
+class TestToleranceScope:
+    def test_profile_applies_to_one_call_only(self, tmp_path, capsys):
+        # trace off by 2e-9: inside STRICT's 1e-10, outside LATTICE's 1e-8
+        m = np.diag([0.4 + 2e-9, 0.3, 0.2, 0.1])
+        path = tmp_path / "off_trace.json"
+        path.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": m.tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        argv = ["lower", "--state", str(path), "--trials", "4"]
+        assert main(["--tol-profile", "lattice"] + argv) == 0
+        assert main(argv) == 1
+        assert main(["--tol-profile", "lattice"] + argv) == 0
+        assert "trace is" in capsys.readouterr().err
+        with pytest.raises(LinalgError):
+            density_matrix(np.diag([0.5 + 5e-9, 0.5]), 2)
+        assert config.current() is config.STRICT
+
+    def test_worker_threads_see_the_callers_profile(self, tmp_path, monkeypatch):
+        seen = []
+        real = integrable.vacuum_bound
+
+        def recording(*args, **kwargs):
+            seen.append(config.current())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrable, "vacuum_bound", recording)
+        argv = ["--tol-profile", "lattice", "integrable", "--g", "0.5",
+                "--mR", "10,15,20,25,30,35"]
+        outs = []
+        for threads in ("4", "1"):
+            monkeypatch.setenv("ENTBOUND_THREADS", threads)
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert seen == [config.LATTICE] * 12
+        assert outs[0] == outs[1]
+
+
+class TestMeasuresEvaluatedOnce:
+    def test_full_report_evaluates_each_measure_once(self, phi_plus_file, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("relative_entanglement_entropy_upper", "bell_correlation"):
+            real = getattr(measures, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(measures, name, counting)
+            monkeypatch.setattr(cli, name, counting)
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--er-restarts", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert calls == {"relative_entanglement_entropy_upper": 1, "bell_correlation": 1}
+        monkeypatch.undo()
+        rho = load_state(phi_plus_file)
+        direct = {
+            "EI": measures.mutual_information(rho),
+            "ER": measures.relative_entanglement_entropy_upper(rho, restarts=2, seed=1),
+            "EN": measures.log_dominance_upper(rho),
+            "EM": measures.modular_nuclearity_upper(rho),
+            "EB": measures.bell_correlation(rho, seed=1),
+        }
+        report = json.loads(out.read_text())
+        assert {r["measure"]: r["value"] for r in report["results"]} == {
+            k: v.value for k, v in direct.items()}
+        assert report["ordering_audit"]["values"]["ER_upper"] == direct["ER"].value
+
+
+class TestErrorExit:
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--sites", "3", "--regionA", "0..1", "--gap", "1"],
+        ["integrable", "--model", "custom", "--poles", "abc"],
+        ["measures", "--state", "missing.json"],
+    ])
+    def test_whole_command_failure_exits_1_without_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_unknown_measure_rejected_before_computing(self, phi_plus_file, tmp_path,
+                                                       monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a measure was evaluated")
+
+        monkeypatch.setattr(cli, "mutual_information", fail)
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--measures", "EI,XX",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown measure 'XX'\n"
+        assert not out.exists()

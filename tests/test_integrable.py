@@ -271,6 +271,22 @@ class TestVacuumBound:
         want = -(1 - 0.1) * 1.0
         assert abs(slope - want) <= 0.15 * abs(want)
 
+    def test_finite_just_past_divergence_threshold(self):
+        # c^n alone overflows here while q^n underflows; the sum must stay finite
+        s = SMatrix((0.4, 0.8, 1.2))
+        res = vacuum_bound(s, 1.0, 6.0, 0.3, 0.1)
+        assert res.converged
+        assert math.isfinite(res.nu)
+        assert res.log_value == math.log(res.nu)
+        assert res.n_terms < 10_000
+        # oracle: the same series with every term formed in log space
+        c = math.sqrt(res.strip_norm)
+        log_q = math.log(4.0 * math.e * c / (0.3 * math.pi) * bessel_k0(0.9 * 6.0))
+        log_kf = 0.5 * math.log(bessel_k0(6.0 * 0.1 * math.sin(0.3)))
+        terms = [math.exp(max(n * log_q, n * (log_q + math.log(c)) + log_kf))
+                 for n in range(1, 2000)]
+        assert abs(res.nu - (1.0 + math.fsum(terms))) <= 1e-12 * res.nu
+
     def test_parameter_validation(self):
         s = sinh_gordon(0.5)
         with pytest.raises(IntegrableError):
