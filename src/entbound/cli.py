@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._raw_argv = argv
     if args.subcommand == "sweep":
-        return main([args.domain] + args.rest)
+        return main(["--tol-profile", args.tol_profile, args.domain] + args.rest)
     token = config.PROFILE.set(config.PROFILES[args.tol_profile])
     try:
         return args.func(args)

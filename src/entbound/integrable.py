@@ -10,6 +10,7 @@ mandatory grid-doubling convergence check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,17 +80,17 @@ def strip_sup_norm(s: SMatrix, kappa: float) -> float:
         )
     best = 1.0
     grid = np.linspace(-25.0, 25.0, 2001)
+    sin_b = np.sin(np.array(s.poles))
     for line in (-kappa, math.pi + kappa):
-        # denominator scan: no factor may blow up on the boundary
-        vals = []
-        for th in grid:
-            z = th + 1j * line
-            sh = cmath.sinh(z)
-            if any(abs(sh + 1j * math.sin(b)) < 1e-10 for b in s.poles):
-                raise IntegrableError("pole on the strip boundary")
-            vals.append(abs(s2_eval(s, z)))
-        vals = np.array(vals)
-        k = int(np.argmax(vals))
+        # one row per grid point, one column per pole; no factor may blow up
+        # on the boundary
+        sh = np.sinh(grid + 1j * line)[:, None]
+        den = sh + 1j * sin_b
+        if np.any(np.abs(den) < 1e-10):
+            raise IntegrableError("pole on the strip boundary")
+        # the scan only locates the peak; its value comes from s2_eval, like
+        # the refinement's
+        k = int(np.argmax(np.abs(np.prod((sh - 1j * sin_b) / den, axis=1))))
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, len(grid) - 1)]
         res = minimize_scalar(
@@ -98,7 +99,7 @@ def strip_sup_norm(s: SMatrix, kappa: float) -> float:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        best = max(best, float(-res.fun), float(vals[k]))
+        best = max(best, float(-res.fun), abs(s2_eval(s, grid[k] + 1j * line)))
     return best
 
 
@@ -133,8 +134,18 @@ class KernelGrid:
         return make_grid_for_theta(self.theta_max, 2 * self.size)
 
 
-def make_grid_for_theta(theta_max: float, n: int) -> KernelGrid:
+@functools.lru_cache(maxsize=8)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    # looked up at call time, so a wrapper put on leggauss (to count calls) applies
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def make_grid_for_theta(theta_max: float, n: int) -> KernelGrid:
+    x, w = legendre_rule(n)
     return KernelGrid(nodes=x * theta_max, weights=w * theta_max, theta_max=theta_max)
 
 

@@ -87,3 +87,41 @@ def bell_phi_plus_value(n: int) -> float:
     import math
 
     return (2.0 * math.sqrt(2.0) * (n // 2) + n % 2) / n
+
+
+def strip_sup_norm_scalar(s, kappa: float) -> float:
+    """Supremum of |S_2| on the strip, scanned one grid point at a time.
+
+    The same dense boundary scan and bounded refinement as
+    ``integrable.strip_sup_norm``, with every boundary value taken from the
+    scalar ``s2_eval`` instead of one array evaluation per boundary line.
+    """
+    import cmath
+    import math
+
+    from scipy.optimize import minimize_scalar
+
+    from entbound.integrable import IntegrableError, s2_eval
+
+    best = 1.0
+    grid = np.linspace(-25.0, 25.0, 2001)
+    for line in (-kappa, math.pi + kappa):
+        vals = []
+        for th in grid:
+            z = th + 1j * line
+            sh = cmath.sinh(z)
+            if any(abs(sh + 1j * math.sin(b)) < 1e-10 for b in s.poles):
+                raise IntegrableError("pole on the strip boundary")
+            vals.append(abs(s2_eval(s, z)))
+        vals = np.array(vals)
+        k = int(np.argmax(vals))
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, len(grid) - 1)]
+        res = minimize_scalar(
+            lambda th: -abs(s2_eval(s, th + 1j * line)),
+            bounds=(lo, hi),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        best = max(best, float(-res.fun), float(vals[k]))
+    return best

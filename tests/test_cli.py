@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +144,25 @@ class TestDeterminism:
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_dirac_corridor_same_bytes_in_process_threaded_and_fresh(self, tmp_path,
+                                                                     monkeypatch):
+        # the second in-process call reuses the first one's quadrature rules
+        # from two worker threads
+        argv = ["dirac", "--m", "1", "--eps", "0.2,0.1", "--circle-radius", "1"]
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ENTBOUND_THREADS", threads)
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        monkeypatch.delenv("ENTBOUND_THREADS")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
+                               env=env, capture_output=True, check=True)
+        outs.append(fresh.stdout)
+        assert outs[0].count(b"\n") == 3
+        assert outs[1:] == [outs[0]] * 2
+
     def test_measures_seeded_values_reproduce(self, tmp_path, phi_plus_file):
         outs = []
         for name in ("r1.json", "r2.json"):
@@ -252,6 +274,33 @@ class TestToleranceScope:
             outs.append(out.read_bytes())
         assert seen == [config.LATTICE] * 12
         assert outs[0] == outs[1]
+
+    def test_sweep_alias_keeps_the_profile(self, tmp_path, monkeypatch):
+        seen = []
+        real = integrable.vacuum_bound
+
+        def recording(*args, **kwargs):
+            seen.append(config.current() is config.LATTICE)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrable, "vacuum_bound", recording)
+        out = tmp_path / "alias.csv"
+        assert main(["--tol-profile", "lattice", "sweep", "integrable", "--g", "0.5",
+                     "--mR", "10,15,20", "--out", str(out)]) == 0
+        assert seen == [True] * 3
+        assert config.current() is config.STRICT
+
+    def test_mutual_information_of_a_lattice_state(self, tmp_path):
+        # trace off by 5e-9 loads under LATTICE; the marginal product must too
+        m = np.diag([0.4 + 5e-9, 0.3, 0.2, 0.1])
+        path = tmp_path / "off_trace.json"
+        path.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": m.tolist(),
+                                    "im": np.zeros((4, 4)).tolist()}))
+        out = tmp_path / "ei.json"
+        assert main(["--tol-profile", "lattice", "measures", "--state", str(path),
+                     "--measures", "EI", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())["results"][0]
+        assert abs(rec["value"] - rec["via_relative_entropy"]) <= 1e-9
 
 
 class TestMeasuresEvaluatedOnce:

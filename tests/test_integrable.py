@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from entbound.integrable import (
     bessel_k0,
     dirac_halfline_bound,
     hadamard_bound_check,
+    legendre_rule,
     make_grid,
+    make_grid_for_theta,
     s2_eval,
     sinh_gordon,
     strip_sup_norm,
@@ -21,6 +25,7 @@ from entbound.integrable import (
     vacuum_bound,
     wedge_trace,
 )
+from oracles import strip_sup_norm_scalar
 
 
 def k0_quadrature(x: float) -> float:
@@ -110,6 +115,22 @@ class TestStripNorm:
         with pytest.raises(IntegrableError):
             strip_sup_norm(sinh_gordon(0.5), math.pi / 5)
 
+    @pytest.mark.parametrize("s", [sinh_gordon(0.5), SMatrix((0.6, 1.0, 1.4)),
+                                   SMatrix((0.4, 0.8, 1.2))])
+    @pytest.mark.parametrize("kappa", [0.05, 0.3])
+    def test_matches_scalar_scan(self, s, kappa):
+        want = strip_sup_norm_scalar(s, kappa)
+        assert abs(strip_sup_norm(s, kappa) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("poles", [(0.5,), (0.5, 0.9, 1.3)])
+    def test_pole_on_boundary_raises(self, poles):
+        # kappa passes the kappa < min b_k check, yet the factor for b = 0.5
+        # vanishes to ~1e-11 at theta = 0 on both boundary lines
+        s = SMatrix(poles)
+        for scan in (strip_sup_norm, strip_sup_norm_scalar):
+            with pytest.raises(IntegrableError, match="pole on the strip boundary"):
+                scan(s, 0.5 - 1e-11)
+
 
 class TestBesselK0:
     def test_matches_quadrature(self):
@@ -155,6 +176,48 @@ class TestTKernel:
     def test_nonconvergent_grid_rejected(self):
         with pytest.raises(IntegrableError, match="converged|theta"):
             t_kernel_trace_norm(math.pi, 1e-4, make_grid(1e-4, 4))
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("n", [96, 192, 7])
+    def test_grid_is_scaled_leggauss_bytes(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        for theta_max in (3.7, 5.123456789):
+            grid = make_grid_for_theta(theta_max, n)
+            assert (x * theta_max).tobytes() == grid.nodes.tobytes()
+            assert (w * theta_max).tobytes() == grid.weights.tobytes()
+
+    def test_doubled_grid_uses_the_doubled_rule(self):
+        grid = make_grid(0.4)
+        twice = grid.doubled()
+        x, w = np.polynomial.legendre.leggauss(2 * grid.size)
+        assert (x * grid.theta_max).tobytes() == twice.nodes.tobytes()
+        assert (w * grid.theta_max).tobytes() == twice.weights.tobytes()
+
+    def test_rule_built_once_and_read_only(self):
+        x, w = legendre_rule(96)
+        assert legendre_rule(96)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert x.tobytes() == np.polynomial.legendre.leggauss(96)[0].tobytes()
+
+    def test_concurrent_first_calls_agree(self):
+        sizes = (5, 11, 24, 96)
+        want = {n: np.polynomial.legendre.leggauss(n) for n in sizes}
+        legendre_rule.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(legendre_rule, n) for n in sizes * 8]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for n, (x, w) in zip(sizes * 8, got):
+            assert x.tobytes() == want[n][0].tobytes()
+            assert w.tobytes() == want[n][1].tobytes()
+            assert not x.flags.writeable and not w.flags.writeable
 
 
 class TestAKernel:

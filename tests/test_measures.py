@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entbound import config
 from entbound.linalg import (
     DensityMatrix,
     density_matrix,
@@ -65,6 +66,21 @@ class TestMutualInformation:
 
     def test_dual_formulas_agree(self):
         res = mutual_information(faithful_2x2(3))
+        assert abs(res.value - res.meta["via_relative_entropy"]) <= 1e-9
+
+    def test_state_loaded_under_lattice_passes(self):
+        # trace off by 5e-9: inside LATTICE's 1e-8, while rho_A (x) rho_B alone
+        # is off by 1e-8 + 2.5e-17
+        m = np.diag([0.4 + 5e-9, 0.3, 0.2, 0.1])
+        token = config.PROFILE.set(config.LATTICE)
+        try:
+            res = mutual_information(density_matrix(m, 2, 2))
+        finally:
+            config.PROFILE.reset(token)
+        p = np.diag(m)
+        pa, pb = p.reshape(2, 2).sum(axis=1), p.reshape(2, 2).sum(axis=0)
+        want = vn_entropy_scalar(pa) + vn_entropy_scalar(pb) - vn_entropy_scalar(p)
+        assert abs(res.value - want) <= 1e-12
         assert abs(res.value - res.meta["via_relative_entropy"]) <= 1e-9
 
     def test_pure_state_doubles_schmidt(self):
