@@ -3,6 +3,7 @@ norm-distance, fidelity, correlator and packing lower bounds built on it."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,14 +104,11 @@ class GapFunctionTable:
         return out if out.ndim else float(out)
 
 
-_TABLE: GapFunctionTable | None = None
-
-
+@functools.cache
 def gap_table() -> GapFunctionTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = GapFunctionTable.build()
-    return _TABLE
+    """The default gap-function table, built on first use."""
+    # build is looked up at call time, so a wrapper put on it (to time it) applies
+    return GapFunctionTable.build()
 
 
 def entropy_gap_check(rho: DensityMatrix, rho2: DensityMatrix):

@@ -8,7 +8,6 @@ correlators against the gap function.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,12 +69,7 @@ class LatticeGaussianState:
 
 def laplacian(geom: LatticeGeometry) -> np.ndarray:
     n, a = geom.sites, geom.spacing
-    lap = np.zeros((n, n))
-    for i in range(n):
-        lap[i, i] = -2.0
-        if i + 1 < n:
-            lap[i, i + 1] = 1.0
-            lap[i + 1, i] = 1.0
+    lap = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     if geom.boundary == "periodic":
         lap[0, n - 1] = 1.0
         lap[n - 1, 0] = 1.0
@@ -176,51 +170,46 @@ def weyl_two_point(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) ->
     )
 
 
-def _region_data_map(state: LatticeGaussianState, indices) -> np.ndarray:
-    """Real 2n x 2|V| matrix mapping region initial data to stacked one-
-    particle vectors (Re kappa; Im kappa)."""
-    n = state.geometry.sites
-    idx = np.array(sorted(indices))
-    cols = []
-    for pos in idx:  # q data
-        e = np.zeros(2 * n)
-        e[pos] = 1.0
-        k = _kappa_map(state, e)
-        cols.append(np.concatenate([k.real, k.imag]))
-    for pos in idx:  # p data
-        e = np.zeros(2 * n)
-        e[pos + n] = 1.0
-        k = _kappa_map(state, e)
-        cols.append(np.concatenate([k.real, k.imag]))
-    return np.column_stack(cols)
+def _region_qr(state: LatticeGaussianState, idx: np.ndarray):
+    """QR factors of the q- and p-column blocks of the region data map.
+
+    Region data (q, p) maps to the stacked one-particle vector (Re kappa;
+    Im kappa) through [[0, C^{1/4}[:, idx]], [-C^{-1/4}[:, idx], 0]], so the
+    map's QR is the two n x m QRs of -C^{-1/4}[:, idx] and C^{1/4}[:, idx].
+    """
+    qq, rq = np.linalg.qr(-state.c_power(-0.25)[:, idx])
+    qp, rp = np.linalg.qr(state.c_power(0.25)[:, idx])
+    return (qq, qp), (rq, rp)
 
 
-def principal_candidates(state: LatticeGaussianState, regions: RegionSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+def principal_candidates(state: LatticeGaussianState, regions: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Data pairs aligned with the top principal angles between the two
-    regions' one-particle subspaces (the strongest available correlators)."""
-    n = state.geometry.sites
-    wa = _region_data_map(state, regions.indices_a)
-    wb = _region_data_map(state, regions.indices_b)
-    qa, ra = np.linalg.qr(wa)
-    qb, rb = np.linalg.qr(wb)
-    out = []
-    j_rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    for qa_eff in (qa, j_rot @ qa):
-        u, s, vh = np.linalg.svd(qa_eff.T @ qb)
-        for k in range(min(2, len(s))):
-            fa = np.linalg.lstsq(ra, u[:, k], rcond=None)[0]
-            gb = np.linalg.lstsq(rb, vh[k, :], rcond=None)[0]
-            out.append((_embed_data(n, regions.indices_a, fa), _embed_data(n, regions.indices_b, gb)))
-    return out
+    regions' one-particle subspaces (the strongest available correlators).
 
+    The two leading principal vectors of the plain pair of subspaces and of
+    the pair with A's rotated by J (Re kappa, Im kappa) -> (-Im kappa,
+    Re kappa) give four pairs.  Returns them as coefficient columns in
+    region coordinates (q on the region's sites, then p): a 2|A| x 4 array
+    for region A and a 2|B| x 4 array for region B, column k of each forming
+    one pair.
+    """
+    (qqa, qpa), ra = _region_qr(state, np.array(regions.indices_a))
+    (qqb, qpb), rb = _region_qr(state, np.array(regions.indices_b))
+    ma, mb = qqa.shape[1], qqb.shape[1]
+    # Gram matrices of A's basis, and of its J-rotation, with B's basis
+    grams = np.zeros((2, 2 * ma, 2 * mb))
+    grams[0, :ma, :mb] = qqa.T @ qqb
+    grams[0, ma:, mb:] = qpa.T @ qpb
+    grams[1, :ma, mb:] = -qqa.T @ qpb
+    grams[1, ma:, :mb] = qpa.T @ qqb
+    u, _, vh = np.linalg.svd(grams, full_matrices=False)
+    ua = np.concatenate(u[:, :, :2], axis=1)
+    vb = np.concatenate(vh[:, :2, :], axis=0).T
 
-def _embed_data(n: int, indices, coef: np.ndarray) -> np.ndarray:
-    idx = np.array(sorted(indices))
-    v = np.zeros(2 * n)
-    m = len(idx)
-    v[idx] = coef[:m]
-    v[idx + n] = coef[m:]
-    return v
+    def solve(r, rhs):  # minimum-norm, so a rank-deficient region does not raise
+        return np.vstack([np.linalg.lstsq(rk, hk, rcond=None)[0] for rk, hk in zip(r, np.split(rhs, 2))])
+
+    return solve(ra, ua), solve(rb, vb)
 
 
 def correlator_lower_bound(
@@ -233,33 +222,34 @@ def correlator_lower_bound(
 
     Gaussian random initial data restricted to each region, plus the
     principal-angle pairs of the two one-particle subspaces; each candidate
-    is tried over a small amplitude grid and the connected correlator of the
-    unit-norm Weyl operators feeds the gap function.
+    pair (f, g) is tried over a small amplitude grid and the connected
+    correlator of the unit-norm Weyl operators feeds the gap function.
+
+    With f and g scaled to covariance t^2 the connected correlator has the
+    closed form e^{-u} (e^{-u z} - 1), u = t^2, z = c + i sigma / 2, where c
+    and sigma are the covariance and symplectic forms of the unit-covariance
+    pair; both are read off the inner product of the one-particle vectors.
     """
-    n = state.geometry.sites
-    rng = np.random.default_rng(seed)
-    table = gap_table()
-    candidates: list[tuple[np.ndarray, np.ndarray]] = list(principal_candidates(state, regions))
-    for _ in range(trials):
-        f = np.zeros(2 * n)
-        g = np.zeros(2 * n)
-        for idx, vec in ((regions.indices_a, f), (regions.indices_b, g)):
-            idx = np.array(idx)
-            vec[idx] = rng.standard_normal(len(idx))
-            vec[idx + n] = rng.standard_normal(len(idx))
-        candidates.append((f, g))
-    best = 0.0
-    amplitudes = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-    for f, g in candidates:
-        nf = math.sqrt(max(covariance_form(state, f, f), 1e-300))
-        ng = math.sqrt(max(covariance_form(state, g, g), 1e-300))
-        for t in amplitudes:
-            fs, gs = f * (t / nf), g * (t / ng)
-            corr = weyl_two_point(state, fs, gs) - weyl_expectation(state, fs) * weyl_expectation(state, gs)
-            x = 0.5 * abs(corr)
-            if 0.0 < x < 1.0:
-                best = max(best, float(table(x)))
-    return best
+    n, a = state.geometry.sites, state.geometry.spacing
+    ia, ib = np.array(regions.indices_a), np.array(regions.indices_b)
+    rows_a, rows_b = np.r_[ia, ia + n], np.r_[ib, ib + n]
+    coef_a, coef_b = principal_candidates(state, regions)
+    # one draw holds every trial's (q_A, p_A, q_B, p_B) in sequence
+    draws = np.random.default_rng(seed).standard_normal((trials, rows_a.size + rows_b.size))
+    f = np.zeros((2 * n, coef_a.shape[1] + trials))
+    g = np.zeros_like(f)
+    f[rows_a] = np.hstack([coef_a, draws[:, : rows_a.size].T])
+    g[rows_b] = np.hstack([coef_b, draws[:, rows_a.size :].T])
+    kf, kg = _kappa_map(state, f), _kappa_map(state, g)
+    # (a/2) <kappa f, kappa g> = c(f, g) + i sigma(f, g) / 2, column by column
+    cf = 0.5 * a * np.sum(np.abs(kf) ** 2, axis=0)
+    cg = 0.5 * a * np.sum(np.abs(kg) ** 2, axis=0)
+    z = 0.5 * a * np.sum(kf.conj() * kg, axis=0) / np.sqrt(
+        np.maximum(cf, 1e-300) * np.maximum(cg, 1e-300))
+    u = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])[:, None] ** 2
+    x = 0.5 * np.abs(np.exp(-u) * np.expm1(-u * z))
+    x = x[(x > 0.0) & (x < 1.0)]
+    return float(np.max(gap_table()(x))) if x.size else 0.0
 
 
 def decay_row(

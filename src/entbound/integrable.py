@@ -65,12 +65,15 @@ def s2_eval(s: SMatrix, zeta: complex) -> complex:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def strip_sup_norm(s: SMatrix, kappa: float) -> float:
     """Supremum of |S_2| on the strip -kappa < Im z < pi + kappa.
 
     The function is analytic and bounded on the closed strip when kappa
     stays below every pole parameter, so the supremum is attained on the two
     boundary lines; those are scanned on a dense grid and refined locally.
+    Memoised on (s, kappa), since a sweep asks for the same strip at every
+    point; a call that raises is not stored.
     """
     if kappa <= 0:
         raise IntegrableError("strip width must be positive")

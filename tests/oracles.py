@@ -125,3 +125,87 @@ def strip_sup_norm_scalar(s, kappa: float) -> float:
         )
         best = max(best, float(-res.fun), float(vals[k]))
     return best
+
+
+def region_data_map(state, indices) -> np.ndarray:
+    """Real 2n x 2|V| matrix mapping region initial data to stacked one-
+    particle vectors (Re kappa; Im kappa), built one unit vector at a time."""
+    from entbound.gaussian import _kappa_map
+
+    n = state.geometry.sites
+    idx = np.array(sorted(indices))
+    cols = []
+    for offset in (0, n):  # q data, then p data
+        for pos in idx:
+            e = np.zeros(2 * n)
+            e[pos + offset] = 1.0
+            k = _kappa_map(state, e)
+            cols.append(np.concatenate([k.real, k.imag]))
+    return np.column_stack(cols)
+
+
+def principal_candidates_loop(state, regions) -> list:
+    """Principal-angle data pairs (f, g) as full 2n initial-data vectors.
+
+    Full QRs of the region data maps, a dense 2n x 2n rotation J and one
+    least-squares solve per principal vector.
+    """
+    n = state.geometry.sites
+
+    def embed(indices, coef):
+        idx = np.array(sorted(indices))
+        v = np.zeros(2 * n)
+        v[idx] = coef[: len(idx)]
+        v[idx + n] = coef[len(idx):]
+        return v
+
+    qa, ra = np.linalg.qr(region_data_map(state, regions.indices_a))
+    qb, rb = np.linalg.qr(region_data_map(state, regions.indices_b))
+    j_rot = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    out = []
+    for qa_eff in (qa, j_rot @ qa):
+        u, s, vh = np.linalg.svd(qa_eff.T @ qb)
+        for k in range(min(2, len(s))):
+            fa = np.linalg.lstsq(ra, u[:, k], rcond=None)[0]
+            gb = np.linalg.lstsq(rb, vh[k, :], rcond=None)[0]
+            out.append((embed(regions.indices_a, fa), embed(regions.indices_b, gb)))
+    return out
+
+
+def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0) -> float:
+    """Weyl-correlator lower bound evaluated one candidate and one amplitude
+    at a time.
+
+    The same candidates as ``gaussian.correlator_lower_bound``: the pairs of
+    ``principal_candidates_loop``, then random trials drawn one region block
+    at a time.  Each connected correlator is formed from ``weyl_two_point``
+    and ``weyl_expectation`` and fed to the gap table as a scalar.
+    """
+    import math
+
+    from entbound.bounds import gap_table
+    from entbound.gaussian import covariance_form, weyl_expectation, weyl_two_point
+
+    n = state.geometry.sites
+    candidates = principal_candidates_loop(state, regions)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        f = np.zeros(2 * n)
+        g = np.zeros(2 * n)
+        for idx, vec in ((regions.indices_a, f), (regions.indices_b, g)):
+            idx = np.array(idx)
+            vec[idx] = rng.standard_normal(len(idx))
+            vec[idx + n] = rng.standard_normal(len(idx))
+        candidates.append((f, g))
+    table = gap_table()
+    best = 0.0
+    for f, g in candidates:
+        nf = math.sqrt(max(covariance_form(state, f, f), 1e-300))
+        ng = math.sqrt(max(covariance_form(state, g, g), 1e-300))
+        for t in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+            fs, gs = f * (t / nf), g * (t / ng)
+            corr = weyl_two_point(state, fs, gs) - weyl_expectation(state, fs) * weyl_expectation(state, gs)
+            x = 0.5 * abs(corr)
+            if 0.0 < x < 1.0:
+                best = max(best, float(table(x)))
+    return best

@@ -146,22 +146,31 @@ class TestDeterminism:
 
     def test_dirac_corridor_same_bytes_in_process_threaded_and_fresh(self, tmp_path,
                                                                      monkeypatch):
-        # the second in-process call reuses the first one's quadrature rules
-        # from two worker threads
-        argv = ["dirac", "--m", "1", "--eps", "0.2,0.1", "--circle-radius", "1"]
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ENTBOUND_THREADS", threads)
-            out = tmp_path / f"threads{threads}.csv"
-            assert main(argv + ["--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        monkeypatch.delenv("ENTBOUND_THREADS")
+        # the second in-process call of each command reuses the first one's
+        # cached quadrature rules, gap table and strip norms from two worker
+        # threads; (argv, data rows) per command
+        commands = (
+            (["dirac", "--m", "1", "--eps", "0.2,0.1", "--circle-radius", "1"], 2),
+            (["gaussian", "--sites", "48", "--spacing", "0.25", "--regionA", "4..9",
+              "--gap", "6..12..3", "--trials", "32", "--seed", "7"], 3),
+            (["integrable", "--model", "sinh-gordon", "--g", "0.5", "--mR", "0.5..40..0.5",
+              "--kappa", "0.3", "--delta", "0.1"], 80),
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
-                               env=env, capture_output=True, check=True)
-        outs.append(fresh.stdout)
-        assert outs[0].count(b"\n") == 3
-        assert outs[1:] == [outs[0]] * 2
+        env.pop("ENTBOUND_THREADS", None)
+        for argv, rows in commands:
+            outs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("ENTBOUND_THREADS", threads)
+                out = tmp_path / f"{argv[0]}-threads{threads}.csv"
+                assert main(argv + ["--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            monkeypatch.delenv("ENTBOUND_THREADS")
+            fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
+                                   env=env, capture_output=True, check=True)
+            outs.append(fresh.stdout)
+            assert outs[0].count(b"\n") == rows + 1, argv[0]
+            assert outs[1:] == [outs[0]] * 2, argv[0]
 
     def test_measures_seeded_values_reproduce(self, tmp_path, phi_plus_file):
         outs = []

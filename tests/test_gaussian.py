@@ -11,11 +11,14 @@ from entbound.gaussian import (
     correlator_lower_bound,
     decay_sweep,
     kg_upper_bound,
+    laplacian,
     log_linear_fit,
+    principal_candidates,
     region_projectors,
     weyl_expectation,
     weyl_two_point,
 )
+from oracles import correlator_lower_bound_loop, principal_candidates_loop, region_data_map
 
 
 def small_state(sites=16, mass=1.0, spacing=1.0, boundary="dirichlet"):
@@ -59,6 +62,23 @@ class TestBuildState:
         state = small_state(mass=0.7)
         top = np.linalg.eigvalsh(state.c_matrix).max()
         assert top <= 1.0 / 0.7**2 + 1e-9
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_laplacian_matches_site_loop(self, boundary):
+        geom = LatticeGeometry(11, 0.3, 1.0, boundary)
+        n = geom.sites
+        want = np.zeros((n, n))
+        for i in range(n):
+            want[i, i] = -2.0
+            if i + 1 < n:
+                want[i, i + 1] = 1.0
+                want[i + 1, i] = 1.0
+        if boundary == "periodic":
+            want[0, n - 1] = 1.0
+            want[n - 1, 0] = 1.0
+        got = laplacian(geom)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == (want / geom.spacing**2).tobytes()
 
     def test_geometry_validation(self):
         with pytest.raises(GaussianError):
@@ -197,6 +217,74 @@ class TestCorrelatorLowerBound:
         state = small_state()
         regions = RegionSpec((1, 2), (8, 9))
         assert correlator_lower_bound(state, regions, trials=16, seed=1) >= 0.0
+
+
+class TestCorrelatorClosedForm:
+    """The closed-form bound against the candidate-by-candidate loop."""
+
+    @pytest.fixture(scope="class")
+    def lattice_state(self):
+        return build_state(LatticeGeometry(256, 0.25, 0.8, "dirichlet"))
+
+    @pytest.mark.parametrize("gap", [6, 14, 22])
+    def test_matches_loop_on_lattice_sweep(self, lattice_state, gap):
+        regions = RegionSpec(tuple(range(24, 40)), tuple(range(40 + gap, 256)))
+        want = correlator_lower_bound_loop(lattice_state, regions, trials=48, seed=0)
+        got = correlator_lower_bound(lattice_state, regions, trials=48, seed=0)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_matches_loop_adjacent_regions(self):
+        state = build_state(LatticeGeometry(32, 1.0, 0.5, "dirichlet"))
+        regions = RegionSpec(tuple(range(4, 15)), tuple(range(16, 28)))
+        want = correlator_lower_bound_loop(state, regions, trials=256, seed=0)
+        got = correlator_lower_bound(state, regions, trials=256, seed=0)
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_matches_loop_periodic_chain(self):
+        # region B wraps around the end of the ring, next to region A
+        state = build_state(LatticeGeometry(24, 0.5, 1.0, "periodic"))
+        regions = RegionSpec((3, 4, 5, 6), (9, 10, 20, 21, 22, 23, 0))
+        want = correlator_lower_bound_loop(state, regions, trials=64, seed=2)
+        got = correlator_lower_bound(state, regions, trials=64, seed=2)
+        assert want > 1e-6
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_far_regions_at_round_off_floor(self):
+        state = build_state(LatticeGeometry(48, 1.0, 1.0, "dirichlet"))
+        regions = RegionSpec((0, 1, 2), (45, 46, 47))
+        want = correlator_lower_bound_loop(state, regions, trials=64, seed=0)
+        got = correlator_lower_bound(state, regions, trials=64, seed=0)
+        assert abs(got - want) <= 1e-20
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_region_data_map_is_block_structured(self, boundary):
+        state = build_state(LatticeGeometry(20, 0.5, 1.0, boundary))
+        idx = [2, 3, 7, 15]
+        zero = np.zeros((20, len(idx)))
+        block = np.block([[zero, state.c_power(0.25)[:, idx]],
+                          [-state.c_power(-0.25)[:, idx], zero]])
+        assert np.array_equal(region_data_map(state, idx), block)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_principal_candidates_match_loop(self, boundary):
+        # coefficient columns (q, then p on the region's sites), one pair per
+        # column, each fixed up to a common sign.  Only the first two pairs
+        # are compared: the J-rotated Gram matrix is the symplectic form
+        # between the regions, which vanishes for disjoint regions, so the
+        # last two pairs are singular vectors of round-off
+        state = build_state(LatticeGeometry(40, 0.5, 0.8, boundary))
+        regions = RegionSpec(tuple(range(6, 14)), tuple(range(17, 30)))
+        coef_a, coef_b = principal_candidates(state, regions)
+        assert coef_a.shape == (16, 4) and coef_b.shape == (26, 4)
+        n = state.geometry.sites
+        ia, ib = np.array(regions.indices_a), np.array(regions.indices_b)
+        for k, (f, g) in enumerate(principal_candidates_loop(state, regions)[:2]):
+            want = np.concatenate([f[ia], f[ia + n], g[ib], g[ib + n]])
+            got = np.concatenate([coef_a[:, k], coef_b[:, k]])
+            if got @ want < 0:
+                got = -got
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestRegionSpecValidation:

@@ -132,6 +132,24 @@ class TestStripNorm:
                 scan(s, 0.5 - 1e-11)
 
 
+    def test_sweep_scans_each_strip_once(self):
+        strip_sup_norm.cache_clear()
+        rows = [vacuum_bound(SMatrix((0.6, 1.0, 1.4)), 1.0, float(mr), 0.3, 0.1)
+                for mr in np.arange(3.0, 12.0, 0.5)]
+        assert len(rows) == 18
+        assert strip_sup_norm.cache_info().misses == 1
+        want = strip_sup_norm.__wrapped__(SMatrix((0.6, 1.0, 1.4)), 0.3)
+        assert {r.strip_norm.hex() for r in rows} == {want.hex()}
+
+    def test_raising_call_is_not_cached(self):
+        strip_sup_norm.cache_clear()
+        for _ in range(2):
+            with pytest.raises(IntegrableError, match="pole on the strip boundary"):
+                strip_sup_norm(SMatrix((0.5,)), 0.5 - 1e-11)
+        info = strip_sup_norm.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+
 class TestBesselK0:
     def test_matches_quadrature(self):
         for x in (0.5, 1.0, 5.0):
