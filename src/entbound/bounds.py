@@ -6,14 +6,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .linalg import DensityMatrix, matrix_power_psd, partial_trace, trace_norm
 from .measures import _sign_observable, mutual_information
 from .modular import relative_entropy
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 
 class BoundsError(ValueError):
@@ -31,6 +33,8 @@ def gap_s(x: float) -> float:
     section polished by safeguarded Newton steps.  Satisfies s(x) >= 2 x^2
     and grows like -log(1-x) toward the right endpoint.
     """
+    from scipy.optimize import minimize_scalar
+
     if not 0.0 < x < 1.0:
         raise BoundsError(f"gap argument must be in (0, 1), got {x}")
     top = 1.0 - x
@@ -86,6 +90,8 @@ class GapFunctionTable:
 
     @classmethod
     def build(cls, n: int = 400) -> "GapFunctionTable":
+        from scipy.interpolate import PchipInterpolator
+
         left = np.geomspace(1e-6, 0.5, n // 2)
         right = 1.0 - np.geomspace(1e-6, 0.5, n // 2)[::-1]
         grid = np.unique(np.concatenate([left, right]))

@@ -165,8 +165,13 @@ def _ansatz_matrix(p: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return (cols * p) @ cols.conj().T
 
 
-def _rel_ent_and_grad(rho_m: np.ndarray, sigma: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """H(rho, sigma) plus the gradient of -Tr rho log sigma in sigma."""
+def _rel_ent_and_grad(
+    rho_m: np.ndarray, neg_entropy: float, sigma: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """H(rho, sigma) plus the gradient of -Tr rho log sigma in sigma.
+
+    ``neg_entropy`` is Tr rho log rho over the eigenvalues above 1e-14.
+    """
     cut = 1e-14
     w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
     w = np.clip(w, 0.0, None)
@@ -174,9 +179,7 @@ def _rel_ent_and_grad(rho_m: np.ndarray, sigma: np.ndarray) -> tuple[float, np.n
     pos = w > cut
     if (~pos).any() and float(np.trace(rt[np.ix_(~pos, ~pos)]).real) > 1e-12:
         return float("inf"), None
-    wr = np.linalg.eigvalsh(rho_m)
-    wr = wr[wr > cut]
-    h = float(np.sum(wr * np.log(wr))) - float(np.sum(np.diag(rt).real[pos] * np.log(w[pos])))
+    h = neg_entropy - float(np.sum(np.diag(rt).real[pos] * np.log(w[pos])))
     lw = np.where(pos, np.log(np.where(pos, w, 1.0)), 0.0)
     num = lw[:, None] - lw[None, :]
     den = w[:, None] - w[None, :]
@@ -228,11 +231,15 @@ def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: np.r
 
 
 def _descend(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
-    val, grad = _rel_ent_and_grad(rho_m, _ansatz_matrix(p, av, bv))
+    # Tr rho log rho does not depend on sigma: one eigvalsh per descent
+    wr = np.linalg.eigvalsh(rho_m)
+    wr = wr[wr > 1e-14]
+    neg_entropy = float(np.sum(wr * np.log(wr)))
+    val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
     if not np.isfinite(val):
         k = len(p)
         p = 0.9 * p + 0.1 / k
-        val, grad = _rel_ent_and_grad(rho_m, _ansatz_matrix(p, av, bv))
+        val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
         if not np.isfinite(val):
             return float("inf"), (p, av, bv), 0
     step = 0.5
@@ -253,7 +260,7 @@ def _descend(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
             b2 = bv - step * gb
             a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
             b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
-            val2, grad2 = _rel_ent_and_grad(rho_m, _ansatz_matrix(p2, a2, b2))
+            val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
             if np.isfinite(val2) and val2 < val - 1e-16:
                 rel = (val - val2) / max(abs(val), 1e-30)
                 p, av, bv, val, grad = p2, a2, b2, val2, grad2

@@ -209,3 +209,27 @@ def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0
             if 0.0 < x < 1.0:
                 best = max(best, float(table(x)))
     return best
+
+
+def t_kernel_trace_norm_fixed(kappa: float, s: float, grid=None) -> float:
+    """T-kernel trace norm from exactly two grids, without adaptive doubling.
+
+    Two SVDs, at the grid's size and at twice it, with the 0.5% gate on that
+    pair; returns the value on the doubled grid.
+    """
+    from entbound.integrable import (
+        IntegrableError,
+        make_grid,
+        make_grid_for_theta,
+        t_kernel_matrix,
+    )
+
+    grid = make_grid(s) if grid is None else grid
+    val = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, grid), compute_uv=False)))
+    doubled = make_grid_for_theta(grid.theta_max, 2 * grid.size)
+    val2 = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, doubled), compute_uv=False)))
+    if abs(val2 - val) > 0.005 * max(abs(val2), 1e-300):
+        raise IntegrableError(
+            f"discretization not converged ({val} vs {val2}); increase nodes or theta_max"
+        )
+    return val2

@@ -182,6 +182,31 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestImportCost:
+    def test_dirac_and_measures_leave_scipy_unloaded(self, tmp_path, phi_plus_file):
+        # scipy is imported inside the few functions that use it, so neither
+        # command pays for it at start-up
+        script = (
+            "import sys\n"
+            "import entbound.cli\n"
+            "argvs = [\n"
+            "    ['dirac', '--m', '1', '--eps', '0.1', '--out', sys.argv[1]],\n"
+            "    ['measures', '--state', sys.argv[2], '--measures', 'EI,EN,EM,EB',\n"
+            "     '--out', sys.argv[3]],\n"
+            "]\n"
+            "for argv in argvs:\n"
+            "    assert entbound.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "dirac.csv"), phi_plus_file,
+             str(tmp_path / "measures.json")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert fresh.stdout.strip() == "[]"
+        assert (tmp_path / "dirac.csv").exists() and (tmp_path / "measures.json").exists()
+
+
 class TestOtherCommands:
     def test_cft_free_scalar(self, tmp_path, capsys):
         code = main(["cft", "--spectrum", "free-scalar-4d", "--ratio", "0.5"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import entbound.integrable as integrable
 from entbound.integrable import (
     IntegrableError,
     SMatrix,
@@ -25,7 +26,7 @@ from entbound.integrable import (
     vacuum_bound,
     wedge_trace,
 )
-from oracles import strip_sup_norm_scalar
+from oracles import strip_sup_norm_scalar, t_kernel_trace_norm_fixed
 
 
 def k0_quadrature(x: float) -> float:
@@ -196,6 +197,51 @@ class TestTKernel:
             t_kernel_trace_norm(math.pi, 1e-4, make_grid(1e-4, 4))
 
 
+class TestAdaptiveTraceNorm:
+    @staticmethod
+    def svd_sizes(monkeypatch):
+        """Record the matrix size of every SVD the trace norm takes."""
+        sizes = []
+        real = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return sizes
+
+    @pytest.mark.parametrize("kappa", [math.pi, math.pi / 2, -math.pi / 2],
+                             ids=["pi", "pi/2", "-pi/2"])
+    def test_matches_fixed_two_grid_oracle(self, kappa):
+        for s in np.geomspace(0.004, 40, 60):
+            grid = make_grid(float(s), 96)
+            want = t_kernel_trace_norm_fixed(kappa, float(s), grid)
+            got = t_kernel_trace_norm(kappa, float(s), grid)
+            assert abs(got - want) <= 1e-13 * abs(want), s
+
+    def test_large_decay_stops_early(self, monkeypatch):
+        sizes = self.svd_sizes(monkeypatch)
+        t_kernel_trace_norm(math.pi, 20.0, make_grid(20.0, 96))
+        assert len(sizes) <= 3 and max(sizes) <= 96
+
+    def test_small_decay_reaches_the_cap(self, monkeypatch):
+        sizes = self.svd_sizes(monkeypatch)
+        t_kernel_trace_norm(math.pi, 1e-3, make_grid(1e-3, 96))
+        assert sizes == [24, 48, 96, 192]
+
+    def test_grid_below_the_start_size(self, monkeypatch):
+        sizes = self.svd_sizes(monkeypatch)
+        grid = make_grid_for_theta(2.0, 7)
+        got = t_kernel_trace_norm(math.pi, 1.0, grid)
+        assert sizes == [7, 14]
+        assert got == t_kernel_trace_norm_fixed(math.pi, 1.0, grid)
+
+    def test_gate_message_names_both_node_counts(self):
+        with pytest.raises(IntegrableError, match="at 4 nodes .* at 8 nodes"):
+            t_kernel_trace_norm(math.pi, 1e-4, make_grid(1e-4, 4))
+
+
 class TestLegendreRule:
     @pytest.mark.parametrize("n", [96, 192, 7])
     def test_grid_is_scaled_leggauss_bytes(self, n):
@@ -205,9 +251,15 @@ class TestLegendreRule:
             assert (x * theta_max).tobytes() == grid.nodes.tobytes()
             assert (w * theta_max).tobytes() == grid.weights.tobytes()
 
-    def test_doubled_grid_uses_the_doubled_rule(self):
+    def test_doubled_grid_uses_the_doubled_rule(self, monkeypatch):
+        # the trace norm's finest grid is the doubled rule on the same theta_max
         grid = make_grid(0.4)
-        twice = grid.doubled()
+        seen = []
+        real = integrable.t_kernel_matrix
+        monkeypatch.setattr(integrable, "t_kernel_matrix",
+                            lambda kappa, s, g: seen.append(g) or real(kappa, s, g))
+        t_kernel_trace_norm(math.pi, 0.4, grid)
+        twice = seen[-1]
         x, w = np.polynomial.legendre.leggauss(2 * grid.size)
         assert (x * grid.theta_max).tobytes() == twice.nodes.tobytes()
         assert (w * grid.theta_max).tobytes() == twice.weights.tobytes()
