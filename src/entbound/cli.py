@@ -146,7 +146,7 @@ def cmd_measures(args) -> int:
             raise ValueError(f"unknown measure {name!r}")
     report: dict = {"state": args.state}
     if {"EI", "ER", "EN", "EM"} <= set(wanted):
-        audit = ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts)
+        audit = ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts, include_eb="EB" in wanted)
         results = audit.results
         report["ordering_audit"] = {
             "values": audit.values,
@@ -298,8 +298,8 @@ def cmd_sectors(args) -> int:
         out["young"] = list(rows)
         out["N"] = args.N
         out["dim"] = int(dim) if isinstance(dim, int) else float(dim)
-        out["er_delta_max"] = 2.0 * math.log(float(dim))
-        out["em_delta_max"] = 2.5 * math.log(float(dim))
+        out["er_delta_max"], out["em_delta_max"] = sectors_mod.charged_delta_bounds(
+            sectors_mod.SectorList((sectors_mod.Sector("young", float(dim)),)))
     elif args.minimal_model:
         p, m, n = (int(x) for x in args.minimal_model.split(","))
         out["labels"] = [p, m, n]
@@ -384,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mR", default="10..40..5")
     p.add_argument("--kappa", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_integrable)
 
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--circle-radius", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dirac)
 
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--diamonds")
     p.add_argument("--chiral")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cft)
 
@@ -412,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--minimal-model")
     p.add_argument("--mu-index", dest="mu_index_p", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sectors)
 

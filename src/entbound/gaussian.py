@@ -186,25 +186,21 @@ def principal_candidates(state: LatticeGaussianState, regions: RegionSpec) -> tu
     """Data pairs aligned with the top principal angles between the two
     regions' one-particle subspaces (the strongest available correlators).
 
-    The two leading principal vectors of the plain pair of subspaces and of
-    the pair with A's rotated by J (Re kappa, Im kappa) -> (-Im kappa,
-    Re kappa) give four pairs.  Returns them as coefficient columns in
-    region coordinates (q on the region's sites, then p): a 2|A| x 4 array
-    for region A and a 2|B| x 4 array for region B, column k of each forming
-    one pair.
+    The two leading principal vectors give two pairs, returned as
+    coefficient columns in region coordinates (q on the region's sites, then
+    p): a 2|A| x 2 array for region A and a 2|B| x 2 array for region B,
+    column k of each forming one pair.  Rotating A's subspace by J adds no
+    pair: its Gram matrix with B's is the symplectic form, zero for disjoint
+    regions.
     """
     (qqa, qpa), ra = _region_qr(state, np.array(regions.indices_a))
     (qqb, qpb), rb = _region_qr(state, np.array(regions.indices_b))
     ma, mb = qqa.shape[1], qqb.shape[1]
-    # Gram matrices of A's basis, and of its J-rotation, with B's basis
-    grams = np.zeros((2, 2 * ma, 2 * mb))
-    grams[0, :ma, :mb] = qqa.T @ qqb
-    grams[0, ma:, mb:] = qpa.T @ qpb
-    grams[1, :ma, mb:] = -qqa.T @ qpb
-    grams[1, ma:, :mb] = qpa.T @ qqb
-    u, _, vh = np.linalg.svd(grams, full_matrices=False)
-    ua = np.concatenate(u[:, :, :2], axis=1)
-    vb = np.concatenate(vh[:, :2, :], axis=0).T
+    gram = np.zeros((2 * ma, 2 * mb))
+    gram[:ma, :mb] = qqa.T @ qqb
+    gram[ma:, mb:] = qpa.T @ qpb
+    u, _, vh = np.linalg.svd(gram, full_matrices=False)
+    ua, vb = u[:, :2], vh[:2, :].T
 
     def solve(r, rhs):  # minimum-norm, so a rank-deficient region does not raise
         return np.vstack([np.linalg.lstsq(rk, hk, rcond=None)[0] for rk, hk in zip(r, np.split(rhs, 2))])
@@ -228,7 +224,8 @@ def correlator_lower_bound(
     With f and g scaled to covariance t^2 the connected correlator has the
     closed form e^{-u} (e^{-u z} - 1), u = t^2, z = c + i sigma / 2, where c
     and sigma are the covariance and symplectic forms of the unit-covariance
-    pair; both are read off the inner product of the one-particle vectors.
+    pair.  Data supported on disjoint regions has sigma = 0, so z is the
+    real cosine c, read off the inner product of the one-particle vectors.
     """
     n, a = state.geometry.sites, state.geometry.spacing
     ia, ib = np.array(regions.indices_a), np.array(regions.indices_b)
@@ -241,10 +238,11 @@ def correlator_lower_bound(
     f[rows_a] = np.hstack([coef_a, draws[:, : rows_a.size].T])
     g[rows_b] = np.hstack([coef_b, draws[:, rows_a.size :].T])
     kf, kg = _kappa_map(state, f), _kappa_map(state, g)
-    # (a/2) <kappa f, kappa g> = c(f, g) + i sigma(f, g) / 2, column by column
+    # (a/2) <kappa f, kappa g> = c(f, g) + i sigma(f, g) / 2, column by column,
+    # and sigma(f, g) = 0 because f and g live on disjoint regions
     cf = 0.5 * a * np.sum(np.abs(kf) ** 2, axis=0)
     cg = 0.5 * a * np.sum(np.abs(kg) ** 2, axis=0)
-    z = 0.5 * a * np.sum(kf.conj() * kg, axis=0) / np.sqrt(
+    z = 0.5 * a * np.sum(kf.conj() * kg, axis=0).real / np.sqrt(
         np.maximum(cf, 1e-300) * np.maximum(cg, 1e-300))
     u = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])[:, None] ** 2
     x = 0.5 * np.abs(np.exp(-u) * np.expm1(-u * z))

@@ -2,10 +2,11 @@
 entanglement bound of integrable models, plus the half-line Dirac bound.
 
 The scattering function is a finite Blaschke-type product over poles on the
-imaginary rapidity axis; its strip norms and the rapidity-space kernels
-T and A are evaluated by Gauss-Legendre Nystrom discretization; every T
-trace norm passes a mandatory grid-doubling convergence check, doubling
-from 24 nodes until two successive values agree.
+imaginary rapidity axis, and its strip norm is the closed-form product of
+each factor's peak on the strip boundary.  The rapidity-space kernels T and
+A are evaluated by Gauss-Legendre Nystrom discretization; every T trace norm
+passes a mandatory grid-doubling convergence check, doubling from 24 nodes
+until two successive values agree.
 """
 
 from __future__ import annotations
@@ -64,47 +65,28 @@ def s2_eval(s: SMatrix, zeta: complex) -> complex:
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def strip_sup_norm(s: SMatrix, kappa: float) -> float:
     """Supremum of |S_2| on the strip -kappa < Im z < pi + kappa.
 
-    The function is analytic and bounded on the closed strip when kappa
-    stays below every pole parameter, so the supremum is attained on the two
-    boundary lines; those are scanned on a dense grid and refined locally.
-    Memoised on (s, kappa), since a sweep asks for the same strip at every
-    point; a call that raises is not stored.
+    S_2 is analytic and bounded on the closed strip for kappa < min b_k, so by
+    maximum modulus the supremum lies on the boundary lines.  On both, with c
+    = cosh(Re z), |factor_k|^2 = 1 + 4 sin b_k sin kappa c / ((c - sin b_k sin
+    kappa)^2 - cos^2 b_k cos^2 kappa), whose c-derivative has the sign of
+    sin^2 b_k - cos^2 kappa - c^2 < 0.  So each factor peaks at Re z = 0, at
+    (sin b_k + sin kappa)/(sin b_k - sin kappa).
     """
-    from scipy.optimize import minimize_scalar
-
     if kappa <= 0:
         raise IntegrableError("strip width must be positive")
     if kappa >= s.min_pole:
         raise IntegrableError(
             f"kappa={kappa} reaches the first pole b={s.min_pole}; need kappa < min b_k"
         )
-    best = 1.0
-    grid = np.linspace(-25.0, 25.0, 2001)
-    sin_b = np.sin(np.array(s.poles))
-    for line in (-kappa, math.pi + kappa):
-        # one row per grid point, one column per pole; no factor may blow up
-        # on the boundary
-        sh = np.sinh(grid + 1j * line)[:, None]
-        den = sh + 1j * sin_b
-        if np.any(np.abs(den) < 1e-10):
-            raise IntegrableError("pole on the strip boundary")
-        # the scan only locates the peak; its value comes from s2_eval, like
-        # the refinement's
-        k = int(np.argmax(np.abs(np.prod((sh - 1j * sin_b) / den, axis=1))))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        res = minimize_scalar(
-            lambda th: -abs(s2_eval(s, th + 1j * line)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, float(-res.fun), abs(s2_eval(s, grid[k] + 1j * line)))
-    return best
+    sin_k = math.sin(kappa)
+    sin_b = [math.sin(b) for b in s.poles]
+    # sin b_k - sin kappa is the smallest |sinh z + i sin b_k| on both lines
+    if min(sin_b) - sin_k < 1e-10:
+        raise IntegrableError("pole on the strip boundary")
+    return math.prod((sb + sin_k) / (sb - sin_k) for sb in sin_b)
 
 
 def bessel_k0(x: float) -> float:
@@ -152,13 +134,17 @@ def make_grid_for_theta(theta_max: float, n: int) -> KernelGrid:
     return KernelGrid(nodes=x * theta_max, weights=w * theta_max, theta_max=theta_max)
 
 
-def make_grid(s: float, n: int = 96, tail: float = 1e-14) -> KernelGrid:
-    """Grid whose truncation keeps exp(-s cosh(theta)/2) below ``tail``."""
+def theta_cutoff(s: float, tail: float = 1e-14) -> float:
+    """Truncation theta_max that keeps exp(-s cosh(theta)/2) below ``tail``."""
     if s <= 0:
         raise IntegrableError("decay parameter must be positive")
     target = 2.0 * math.log(1.0 / tail) / s
-    theta_max = math.acosh(max(target, math.cosh(1.0)))
-    return make_grid_for_theta(theta_max, n)
+    return math.acosh(max(target, math.cosh(1.0)))
+
+
+def make_grid(s: float, n: int = 96, tail: float = 1e-14) -> KernelGrid:
+    """Grid whose truncation keeps exp(-s cosh(theta)/2) below ``tail``."""
+    return make_grid_for_theta(theta_cutoff(s, tail), n)
 
 
 def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
@@ -173,24 +159,24 @@ def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
     return sw[:, None] * kern * sw[None, :]
 
 
-def t_kernel_trace_norm(kappa: float, s: float, grid: KernelGrid | None = None) -> float:
+def t_kernel_trace_norm(kappa: float, s: float, nodes: int = 96, theta_max: float | None = None) -> float:
     """Trace norm of the discretized T kernel with a grid-doubling check.
 
-    ``grid`` fixes theta_max and the pre-doubling size n; the finest grid has
-    2n nodes.  The rule starts at min(24, n) nodes on the same theta_max and
-    doubles (capped at 2n) until two successive values agree to 1e-12
-    relative or the cap is reached; the finer value is returned.  The kernel
-    is analytic in a strip, so the values converge geometrically in the node
-    count, and a last pair that differs by more than 0.5% raises.
+    Gauss-Legendre rules on [-theta_max, theta_max] (``theta_cutoff(s)`` by
+    default) start at min(24, n) nodes, n = ``nodes``, and double (capped at
+    2n) until two successive values agree to 1e-12 relative or the cap is
+    reached; the finer value is returned.  The kernel is analytic in a strip,
+    so the values converge geometrically in the node count, and a last pair
+    that differs by more than 0.5% raises.
     """
-    grid = make_grid(s) if grid is None else grid
+    theta_max = theta_cutoff(s) if theta_max is None else theta_max
 
     def norm_at(n: int) -> float:
-        g = make_grid_for_theta(grid.theta_max, n)
+        g = make_grid_for_theta(theta_max, n)
         return float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, g), compute_uv=False)))
 
-    cap = 2 * grid.size
-    n2 = min(24, grid.size)
+    cap = 2 * nodes
+    n2 = min(24, nodes)
     val2 = norm_at(n2)
     while True:
         n, val = n2, val2
@@ -400,9 +386,7 @@ def dirac_halfline_bound(
     Each transverse mode contributes four times the trace norm of the
     kernel at kappa = pi and decay 2 * eps * sqrt(m^2 + lam^2); modes whose
     contribution falls below the floor are dropped (monotone decreasing).
-    ``nodes`` is the pre-doubling grid size: each trace norm doubles from
-    min(24, nodes) nodes until two successive values agree to 1e-12
-    relative, and its finest grid has 2 * nodes.
+    ``nodes`` is each trace norm's pre-doubling grid size.
     """
     if m <= 0 or eps <= 0:
         raise IntegrableError("mass and corridor width must be positive")
@@ -412,7 +396,7 @@ def dirac_halfline_bound(
     total = 0.0
     for mj in sorted(masses):
         s = 2.0 * mj * eps
-        contrib = 4.0 * t_kernel_trace_norm(math.pi, s, make_grid(s, nodes))
+        contrib = 4.0 * t_kernel_trace_norm(math.pi, s, nodes)
         total += contrib
         if contrib < contribution_floor * max(total, 1.0):
             break

@@ -206,6 +206,23 @@ class TestImportCost:
         assert fresh.stdout.strip() == "[]"
         assert (tmp_path / "dirac.csv").exists() and (tmp_path / "measures.json").exists()
 
+    def test_integrable_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the strip norm is a closed-form product; only K0 needs scipy.special
+        script = (
+            "import sys\n"
+            "import entbound.cli\n"
+            "argv = ['integrable', '--model', 'custom', '--poles', '0.6,1.0,1.4',\n"
+            "        '--mR', '3..12..0.5', '--kappa', '0.3', '--out', sys.argv[1]]\n"
+            "assert entbound.cli.main(argv) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "integrable.csv")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert fresh.stdout.strip() == "False"
+        assert "log_bound" in (tmp_path / "integrable.csv").read_text()
+
 
 class TestOtherCommands:
     def test_cft_free_scalar(self, tmp_path, capsys):
@@ -366,6 +383,19 @@ class TestMeasuresEvaluatedOnce:
         assert {r["measure"]: r["value"] for r in report["results"]} == {
             k: v.value for k, v in direct.items()}
         assert report["ordering_audit"]["values"]["ER_upper"] == direct["ER"].value
+
+    def test_audit_without_eb_skips_the_bell_seesaw(self, phi_plus_file, tmp_path, monkeypatch):
+        calls = []
+        real = measures.bell_correlation
+        monkeypatch.setattr(measures, "bell_correlation",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--measures", "EI,ER,EN,EM",
+                     "--er-restarts", "2", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert calls == []
+        assert [r["measure"] for r in report["results"]] == ["EI", "ER", "EN", "EM"]
+        assert not any(k.startswith("EB") for k in report["ordering_audit"]["values"])
 
 
 class TestErrorExit:

@@ -269,14 +269,14 @@ class TestCorrelatorClosedForm:
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_principal_candidates_match_loop(self, boundary):
         # coefficient columns (q, then p on the region's sites), one pair per
-        # column, each fixed up to a common sign.  Only the first two pairs
-        # are compared: the J-rotated Gram matrix is the symplectic form
-        # between the regions, which vanishes for disjoint regions, so the
-        # last two pairs are singular vectors of round-off
+        # column, each fixed up to a common sign.  The loop's last two pairs
+        # come from the J-rotated Gram matrix, the symplectic form between the
+        # regions, which vanishes for disjoint regions, so they are singular
+        # vectors of round-off and have no counterpart
         state = build_state(LatticeGeometry(40, 0.5, 0.8, boundary))
         regions = RegionSpec(tuple(range(6, 14)), tuple(range(17, 30)))
         coef_a, coef_b = principal_candidates(state, regions)
-        assert coef_a.shape == (16, 4) and coef_b.shape == (26, 4)
+        assert coef_a.shape == (16, 2) and coef_b.shape == (26, 2)
         n = state.geometry.sites
         ia, ib = np.array(regions.indices_a), np.array(regions.indices_b)
         for k, (f, g) in enumerate(principal_candidates_loop(state, regions)[:2]):
