@@ -82,11 +82,12 @@ def strip_sup_norm(s: SMatrix, kappa: float) -> float:
             f"kappa={kappa} reaches the first pole b={s.min_pole}; need kappa < min b_k"
         )
     sin_k = math.sin(kappa)
-    sin_b = [math.sin(b) for b in s.poles]
     # sin b_k - sin kappa is the smallest |sinh z + i sin b_k| on both lines
-    if min(sin_b) - sin_k < 1e-10:
+    if min(math.sin(b) for b in s.poles) - sin_k < 1e-10:
         raise IntegrableError("pole on the strip boundary")
-    return math.prod((sb + sin_k) / (sb - sin_k) for sb in sin_b)
+    # the same factor as tan((b_k + kappa)/2) / tan((b_k - kappa)/2), which
+    # takes b_k - kappa exactly where sin b_k - sin kappa cancels
+    return math.prod(math.tan((b + kappa) / 2) / math.tan((b - kappa) / 2) for b in s.poles)
 
 
 def bessel_k0(x: float) -> float:
@@ -324,11 +325,9 @@ def vacuum_bound(
     """
     if not 0.0 < delta < 1.0:
         raise IntegrableError("delta must be in (0, 1)")
-    if not 0.0 < kappa < s_matrix.min_pole:
-        raise IntegrableError("need 0 < kappa < min pole parameter")
+    norm = strip_sup_norm(s_matrix, kappa)
     if m <= 0 or radius <= 0:
         raise IntegrableError("mass and separation must be positive")
-    norm = strip_sup_norm(s_matrix, kappa)
     c = math.sqrt(norm)
     mr = m * radius
     q1 = (4.0 * math.e * c / (kappa * math.pi)) * bessel_k0((1.0 - delta) * mr)

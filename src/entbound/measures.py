@@ -418,12 +418,6 @@ def modular_nuclearity_pure(schmidt_weights: np.ndarray) -> MeasureResult:
     return MeasureResult("EM", value, EXACT)
 
 
-def _matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def _span_projector(cols: np.ndarray, cut: float) -> np.ndarray:
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     r = int(np.sum(s > cut * max(float(s[0]), 1.0)))
@@ -431,33 +425,25 @@ def _span_projector(cols: np.ndarray, cut: float) -> np.ndarray:
     return q @ q.conj().T
 
 
-def _modular_quarter(omega: np.ndarray, alg_dim: int, com_dim: int, alg_first: bool,
-                     spectral_cut: float = 1e-13) -> np.ndarray:
+def _modular_quarter(m: np.ndarray, spectral_cut: float = 1e-13) -> np.ndarray:
     """Delta^{1/4} of the Tomita operator for a full matrix factor.
 
-    The antilinear operator S x Omega = Q x* Omega is solved as a linear map
-    over a matrix-unit basis of the factor (minimal-norm solution, so S is
-    extended by zero off the cyclic subspace when Omega is not cyclic) and
-    polar-decomposed through Delta = S^† S.
+    Omega is the matrix m, rows indexed by the factor and columns by its
+    commutant (vectors are m-shaped arrays flattened row-major).  A matrix
+    unit E_ij of the factor acts as E_ij m, placing row j of m at row i, and
+    one of the commutant as m E_ij^T, placing column j at column i, so every
+    orbit vector is an einsum over m and no operator on the doubled space is
+    formed.  The antilinear operator S x Omega = Q x* Omega is solved as a
+    linear map over the matrix-unit basis of the factor (minimal-norm
+    solution, so S is extended by zero off the cyclic subspace when Omega is
+    not cyclic) and polar-decomposed through Delta = S^dagger S.
     """
-    if alg_first:
-        mk_alg = lambda x: np.kron(x, np.eye(com_dim))
-        mk_com = lambda y: np.kron(np.eye(alg_dim), y)
-    else:
-        mk_alg = lambda x: np.kron(np.eye(com_dim), x)
-        mk_com = lambda y: np.kron(y, np.eye(alg_dim))
-    com_cols = np.column_stack([
-        mk_com(_matrix_unit(com_dim, i, j)) @ omega for i in range(com_dim) for j in range(com_dim)
-    ])
+    n_alg, n_com = m.shape
+    eye_a, eye_c = np.eye(n_alg), np.eye(n_com)
+    com_cols = np.einsum("ci,aj->acij", eye_c, m).reshape(m.size, n_com * n_com)
     q = _span_projector(com_cols, config.current().rank_cut * 0.1)
-    u_cols, w_cols = [], []
-    for i in range(alg_dim):
-        for j in range(alg_dim):
-            x = mk_alg(_matrix_unit(alg_dim, i, j))
-            u_cols.append(x @ omega)
-            w_cols.append(q @ (x.conj().T @ omega))
-    u = np.column_stack(u_cols)
-    w = np.column_stack(w_cols)
+    u = np.einsum("ai,jc->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
+    w = q @ np.einsum("aj,ic->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
     a = w @ np.linalg.pinv(u.conj(), rcond=1e-12)
     delta = a.T @ a.conj()
     delta = 0.5 * (delta + delta.conj().T)
@@ -479,10 +465,12 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
     Works on the GNS space of the state (matrices with the Hilbert-Schmidt
     inner product, standard vector sqrt(rho)); the modular operator used for
     each side is the one of the full doubled factor containing that side's
-    observable algebra, which can only enlarge the bound.  The certified
-    functional-pair decomposition it induces is exactly the matrix-unit
-    decomposition of the state, so the logarithmic-dominance chain holds by
-    construction.
+    observable algebra, which can only enlarge the bound.  For each side,
+    Omega is held as the (algebra x commutant) matrix, (A,A') x (B,B') for A
+    and its transpose for B, and matrix units act on it by moving rows, so no
+    operator on the doubled space is formed.  The certified functional-pair
+    decomposition it induces is exactly the matrix-unit decomposition of the
+    state, so the logarithmic-dominance chain holds by construction.
     """
     if rho.dimB == 1:
         raise MeasureError("modular nuclearity needs a bipartite state")
@@ -494,24 +482,15 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
             "state must be faithful (or pure with full Schmidt rank) for the modular construction"
         )
     da, db = rho.dimA, rho.dimB
-    omega = _doubled_vector(rho)
+    m_ab = _doubled_vector(rho).reshape(da * da, db * db)
     nus = {}
-    for side in ("A", "B"):
-        if side == "A":
-            d14 = _modular_quarter(omega, da * da, db * db, alg_first=True)
-            _, vr = eigh(partial_trace(rho, "A").matrix)
-            ops = [
-                np.kron(np.kron(np.outer(vr[:, i], vr[:, j].conj()), np.eye(da)), np.eye(db * db))
-                for i in range(da) for j in range(da)
-            ]
-        else:
-            d14 = _modular_quarter(omega, db * db, da * da, alg_first=False)
-            _, vr = eigh(partial_trace(rho, "B").matrix)
-            ops = [
-                np.kron(np.eye(da * da), np.kron(np.outer(vr[:, i], vr[:, j].conj()), np.eye(db)))
-                for i in range(db) for j in range(db)
-            ]
-        nus[side] = float(sum(np.linalg.norm(d14 @ (op @ omega)) for op in ops))
+    for side, d, m in (("A", da, m_ab), ("B", db, m_ab.T)):
+        d14 = _modular_quarter(m)
+        _, vr = eigh(partial_trace(rho, side).matrix)
+        # (vr_i vr_j^dagger (x) 1) Omega = vr_i (x) t_j, one column per (i, j)
+        t = np.einsum("yj,yzk->jzk", vr.conj(), m.reshape(d, d, -1))
+        cols = np.einsum("yi,jzk->yzkij", vr, t).reshape(m.size, d * d)
+        nus[side] = float(np.linalg.norm(d14 @ cols, axis=0).sum())
     value = float(np.log(min(nus["A"], nus["B"])))
     cert = matrix_unit_decomposition(rho)
     return MeasureResult(

@@ -117,6 +117,16 @@ class TestSweepCommands:
         assert code == 2
         assert out.exists()
 
+    def test_kappa_past_the_pole_names_it(self, tmp_path):
+        # g = 0.3 puts the only pole at b = 0.2594 < kappa = 0.3
+        out = tmp_path / "bound.csv"
+        code = main(["integrable", "--g", "0.3", "--mR", "10,20",
+                     "--kappa", "0.3", "--delta", "0.1", "--out", str(out)])
+        assert code == 2
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("kappa=0.3 reaches the first pole b=0.259" in r for r in rows)
+
     def test_sweep_alias(self, tmp_path):
         out = tmp_path / "alias.csv"
         code = main(["sweep", "dirac", "--m", "1.0", "--eps", "0.1,0.05",

@@ -137,6 +137,23 @@ class TestStripNorm:
         want = strip_sup_norm_scalar(s, kappa)
         assert abs(strip_sup_norm(s, kappa) - want) <= 1e-12 * want
 
+    def test_near_the_first_pole_matches_mpmath(self):
+        # at kappa = 0.99999 min b, sin b - sin kappa loses five digits to
+        # cancellation; the value must stay at double precision
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(40):
+            for _ in range(10):
+                s = SMatrix(tuple(float(b) for b in rng.uniform(0.05, math.pi / 2 - 0.01, 3)))
+                kappa = 0.99999 * s.min_pole
+                sk = mpmath.sin(mpmath.mpf(kappa))
+                want = mpmath.fprod(
+                    (mpmath.sin(mpmath.mpf(b)) + sk) / (mpmath.sin(mpmath.mpf(b)) - sk)
+                    for b in s.poles
+                )
+                got = strip_sup_norm(s, kappa)
+                assert abs(got - want) <= 1e-14 * want
+
     @pytest.mark.parametrize("poles", [(0.5,), (0.5, 0.9, 1.3)])
     def test_pole_on_boundary_raises(self, poles):
         # kappa passes the kappa < min b_k check, yet the factor for b = 0.5

@@ -8,6 +8,7 @@ from entbound.linalg import (
     DensityMatrix,
     density_matrix,
     maximally_entangled,
+    partial_trace,
     product_state,
     pure_state,
     random_density_matrix,
@@ -32,7 +33,7 @@ from entbound.measures import (
     tensor_bipartite,
     verify_certificate,
 )
-from oracles import vn_entropy_scalar
+from oracles import modular_nuclearity_kron, vn_entropy_scalar
 
 
 def faithful_2x2(seed):
@@ -254,11 +255,40 @@ class TestModularNuclearity:
             assert em >= en - 1e-8
 
     def test_rejects_unsupported_state(self):
-        rho = random_density_matrix(2, 2, rank=1, seed=3)  # generic pure, not full Schmidt? may pass
-        # a state that is neither faithful nor pure-with-full-rank: rank 2 mixed
+        # neither faithful nor pure with full Schmidt rank: rank 2 mixed
         rho = random_density_matrix(2, 2, rank=2, seed=3)
         with pytest.raises(MeasureError):
             modular_nuclearity_upper(rho)
+
+    def test_accepts_pure_full_schmidt_rank(self):
+        rho = random_density_matrix(2, 2, rank=1, seed=3)
+        weights = np.linalg.eigvalsh(partial_trace(rho, "A").matrix)
+        got = modular_nuclearity_upper(rho).value
+        assert abs(got - modular_nuclearity_pure(weights).value) <= 1e-8
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(maximally_entangled(2), id="phi_plus"),
+        *(pytest.param(faithful_2x2(seed), id=f"faithful_2x2-{seed}") for seed in (0, 23)),
+        pytest.param(random_density_matrix(2, 3, rank=6, seed=1), id="2x3"),
+        pytest.param(random_density_matrix(3, 2, rank=6, seed=2), id="3x2"),
+        pytest.param(random_density_matrix(3, 3, rank=9, seed=3), id="3x3"),
+        *(pytest.param(random_density_matrix(4, 4, rank=16, seed=seed), id=f"4x4-{seed}")
+          for seed in range(4)),
+        pytest.param(random_density_matrix(4, 4, rank=1, seed=5), id="pure-4x4"),
+    ])
+    def test_matches_kronecker_oracle(self, rho):
+        res = modular_nuclearity_upper(rho)
+        nu_a, nu_b = modular_nuclearity_kron(rho)
+        assert abs(res.meta["nu_A"] - nu_a) <= 1e-8 * nu_a
+        assert abs(res.meta["nu_B"] - nu_b) <= 1e-8 * nu_b
+
+    def test_swap_exchanges_sides(self):
+        # side B works on the transposed Omega matrix; swapping the parties
+        # must hand side A's value to side B
+        rho = random_density_matrix(2, 3, rank=6, seed=7)
+        nu_a = modular_nuclearity_upper(rho).meta["nu_A"]
+        nu_b_swapped = modular_nuclearity_upper(swap_sides(rho)).meta["nu_B"]
+        assert abs(nu_a - nu_b_swapped) <= 1e-10 * nu_a
 
     def test_certificate_reverifies(self):
         rho = faithful_2x2(23)
