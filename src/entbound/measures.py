@@ -2,10 +2,12 @@
 
 Exact values where they exist (mutual information, pure states), certified
 upper bounds everywhere else: a variational upper bound on the relative
-entanglement entropy, a constructive dominating-separable-functional bound
-on the logarithmic dominance, a modular (nuclear-norm) bound, and a seesaw
-lower bound on the Bell correlation.  Each bound carries a certificate that
-can be re-verified independently of the code that produced it.
+entanglement entropy (tangent steps for the factor vectors and entropic
+steps for the weights of a separable mixture), a constructive
+dominating-separable-functional bound on the logarithmic dominance, a
+modular (nuclear-norm) bound, and a seesaw lower bound on the Bell
+correlation.  Each bound carries a certificate that can be re-verified
+independently of the code that produced it.
 """
 
 from __future__ import annotations
@@ -191,15 +193,6 @@ def _rel_ent_and_grad(
     return h, 0.5 * (g + g.conj().T)
 
 
-def _project_simplex(p: np.ndarray) -> np.ndarray:
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(p) + 1)
-    cond = u - css / idx > 0
-    r = idx[cond][-1]
-    return np.clip(p - css[cond][-1] / r, 0.0, None)
-
-
 def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
@@ -231,31 +224,33 @@ def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: np.r
 
 
 def _descend(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
+    """Descend H(rho, sigma) from (p, av, bv): (value, mixture, iterations, stop)."""
     # Tr rho log rho does not depend on sigma: one eigvalsh per descent
     wr = np.linalg.eigvalsh(rho_m)
     wr = wr[wr > 1e-14]
     neg_entropy = float(np.sum(wr * np.log(wr)))
     val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
     if not np.isfinite(val):
-        k = len(p)
-        p = 0.9 * p + 0.1 / k
-        val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
-        if not np.isfinite(val):
-            return float("inf"), (p, av, bv), 0
+        return float("inf"), (p, av, bv), 0, "no_descent"
     step = 0.5
-    iters = 0
     for it in range(max_iter):
-        iters = it + 1
+        if val <= 1e-14:
+            return val, (p, av, bv), it, "zero"
         cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
         gv = grad @ cols
         gp = np.einsum("ik,ik->k", cols.conj(), gv).real
         gm = gv.reshape(da, db, -1)
-        ga = p * np.einsum("abk,bk->ak", gm, bv.conj())
-        gb = p * np.einsum("abk,ak->bk", gm, av.conj())
-        improved = False
-        rel = 0.0
+        # unweighted factor gradients, projected onto the spheres' tangent planes
+        ga = np.einsum("abk,bk->ak", gm, bv.conj())
+        gb = np.einsum("abk,ak->bk", gm, av.conj())
+        ga -= av * np.einsum("ak,ak->k", av.conj(), ga).real
+        gb -= bv * np.einsum("bk,bk->k", bv.conj(), gb).real
+        # the normalised multiplicative step ignores a shift of gp; from its
+        # least value on the support every factor exp(-step gp) is in (0, 1]
+        gp = np.clip(gp - gp[p > 0].min(), 0.0, None)
         while step > 1e-14:
-            p2 = _project_simplex(p - step * gp)
+            p2 = p * np.exp(-step * gp)
+            p2 /= p2.sum()
             a2 = av - step * ga
             b2 = bv - step * gb
             a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
@@ -265,12 +260,26 @@ def _descend(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
                 rel = (val - val2) / max(abs(val), 1e-30)
                 p, av, bv, val, grad = p2, a2, b2, val2, grad2
                 step *= 1.3
-                improved = True
                 break
             step *= 0.5
-        if not improved or (it > 10 and rel < rel_tol):
-            break
-    return val, (p, av, bv), iters
+        else:
+            return val, (p, av, bv), it + 1, "no_descent"
+        if it > 10 and rel < rel_tol:
+            return val, (p, av, bv), it + 1, "rel_tol"
+    return val, (p, av, bv), max_iter, "max_iter"
+
+
+def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> list:
+    """The Schmidt-channel start plus ``restarts - 1`` random mixtures."""
+    da, db = rho.dimA, rho.dimB
+    rng = np.random.default_rng(seed)
+    starts = [_schmidt_channel_init(rho.matrix, da, db, k, rng)]
+    for _ in range(max(restarts - 1, 0)):
+        p = rng.random(k)
+        starts.append((p / p.sum(),
+                       np.column_stack([_random_unit(da, rng) for _ in range(k)]),
+                       np.column_stack([_random_unit(db, rng) for _ in range(k)])))
+    return starts
 
 
 def relative_entanglement_entropy_upper(
@@ -282,9 +291,14 @@ def relative_entanglement_entropy_upper(
 ) -> MeasureResult:
     """Variational upper bound on the relative entanglement entropy.
 
-    Alternating projected-gradient descent over mixtures of pure product
-    states; every feasible mixture certifies an upper bound, so the best
-    value over all restarts is returned together with its ansatz.
+    Descent over mixtures of pure product states: each factor vector moves
+    on its unit sphere along its unweighted tangent gradient, so a light
+    component moves as fast as a heavy one, and the weights take entropic
+    (mirror-descent) steps p exp(-step g) on the simplex.  Every feasible
+    mixture certifies an upper bound; the best restart's value and ansatz
+    are returned.  ``meta["stop"]`` says why that restart ended: ``rel_tol``,
+    ``no_descent`` (the step fell below 1e-14), ``max_iter`` or ``zero``
+    (round-off; E_R >= 0).  ``meta["stagnated"]``: some restart hit max_iter.
     """
     if rho.dimB == 1:
         raise MeasureError("E_R needs a bipartite state")
@@ -292,28 +306,14 @@ def relative_entanglement_entropy_upper(
         raise MeasureError("optimizer capped at total dimension 64")
     da, db = rho.dimA, rho.dimB
     k = 2 * rho.dim if n_components is None else n_components
-    rng = np.random.default_rng(seed)
-    starts = [_schmidt_channel_init(rho.matrix, da, db, k, rng)]
-    for _ in range(max(restarts - 1, 0)):
-        p = rng.random(k)
-        starts.append((p / p.sum(),
-                       np.column_stack([_random_unit(da, rng) for _ in range(k)]),
-                       np.column_stack([_random_unit(db, rng) for _ in range(k)])))
-    best_val = float("inf")
-    best = None
-    total_iters = 0
-    stagnated = False
-    for p, av, bv in starts:
-        val, sol, iters = _descend(rho.matrix, da, db, p.copy(), av.copy(), bv.copy(), max_iter)
-        total_iters += iters
-        if iters >= max_iter:
-            stagnated = True
-        if val < best_val:
-            best_val, best = val, sol
-    cert = SeparableAnsatz(weights=best[0], factors_a=best[1], factors_b=best[2])
+    runs = [_descend(rho.matrix, da, db, p, av, bv, max_iter)
+            for p, av, bv in _er_starts(rho, k, restarts, seed)]
+    val, (p, av, bv), _, stop = min(runs, key=lambda run: run[0])
     return MeasureResult(
-        "ER", float(best_val), UPPER, certificate=cert,
-        meta={"iterations": total_iters, "seed": seed, "stagnated": stagnated},
+        "ER", float(val), UPPER,
+        certificate=SeparableAnsatz(weights=p, factors_a=av, factors_b=bv),
+        meta={"iterations": sum(run[2] for run in runs), "seed": seed,
+              "stagnated": any(run[3] == "max_iter" for run in runs), "stop": stop},
     )
 
 

@@ -303,3 +303,62 @@ def modular_nuclearity_kron(rho):
             ]
         nus[side] = float(sum(np.linalg.norm(d14 @ (op @ omega)) for op in ops))
     return nus["A"], nus["B"]
+
+
+def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
+    """E_R descent along the weighted Euclidean gradient, weights projected
+    onto the simplex; returns (value, (p, av, bv), iterations).
+
+    Each factor-vector gradient carries its component's weight, so a
+    low-weight component barely moves.  The line search and stop test are
+    those of ``entbound.measures._descend``.
+    """
+    from entbound.measures import _ansatz_matrix, _rel_ent_and_grad
+
+    def _project_simplex(p):
+        u = np.sort(p)[::-1]
+        css = np.cumsum(u) - 1.0
+        idx = np.arange(1, len(p) + 1)
+        cond = u - css / idx > 0
+        r = idx[cond][-1]
+        return np.clip(p - css[cond][-1] / r, 0.0, None)
+
+    wr = np.linalg.eigvalsh(rho_m)
+    wr = wr[wr > 1e-14]
+    neg_entropy = float(np.sum(wr * np.log(wr)))
+    val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
+    if not np.isfinite(val):
+        k = len(p)
+        p = 0.9 * p + 0.1 / k
+        val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
+        if not np.isfinite(val):
+            return float("inf"), (p, av, bv), 0
+    step = 0.5
+    iters = 0
+    for it in range(max_iter):
+        iters = it + 1
+        cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
+        gv = grad @ cols
+        gp = np.einsum("ik,ik->k", cols.conj(), gv).real
+        gm = gv.reshape(da, db, -1)
+        ga = p * np.einsum("abk,bk->ak", gm, bv.conj())
+        gb = p * np.einsum("abk,ak->bk", gm, av.conj())
+        improved = False
+        rel = 0.0
+        while step > 1e-14:
+            p2 = _project_simplex(p - step * gp)
+            a2 = av - step * ga
+            b2 = bv - step * gb
+            a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
+            b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
+            val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
+            if np.isfinite(val2) and val2 < val - 1e-16:
+                rel = (val - val2) / max(abs(val), 1e-30)
+                p, av, bv, val, grad = p2, a2, b2, val2, grad2
+                step *= 1.3
+                improved = True
+                break
+            step *= 0.5
+        if not improved or (it > 10 and rel < rel_tol):
+            break
+    return val, (p, av, bv), iters

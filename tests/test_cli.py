@@ -182,6 +182,23 @@ class TestDeterminism:
             assert outs[0].count(b"\n") == rows + 1, argv[0]
             assert outs[1:] == [outs[0]] * 2, argv[0]
 
+    def test_measures_same_bytes_in_process_and_fresh(self, tmp_path):
+        state = tmp_path / "rho.json"
+        save_state(random_density_matrix(2, 2, seed=4), state)
+        argv = ["measures", "--state", str(state), "--er-restarts", "3"]
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("ENTBOUND_THREADS", None)
+        fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
+                               env=env, capture_output=True, check=True)
+        outs.append(fresh.stdout)
+        assert b'"stop":' in outs[0]
+        assert outs[1:] == [outs[0]] * 2
+
     def test_measures_seeded_values_reproduce(self, tmp_path, phi_plus_file):
         outs = []
         for name in ("r1.json", "r2.json"):

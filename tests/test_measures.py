@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entbound import config
+from entbound import config, measures
 from entbound.linalg import (
     DensityMatrix,
     density_matrix,
@@ -33,7 +33,7 @@ from entbound.measures import (
     tensor_bipartite,
     verify_certificate,
 )
-from oracles import modular_nuclearity_kron, vn_entropy_scalar
+from oracles import descend_weighted, modular_nuclearity_kron, vn_entropy_scalar
 
 
 def faithful_2x2(seed):
@@ -146,6 +146,56 @@ class TestRelativeEntanglementUpper:
         res = relative_entanglement_entropy_upper(faithful_2x2(9), restarts=2, seed=0)
         assert res.value >= -1e-12
         assert "stagnated" in res.meta and "iterations" in res.meta
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_phi_plus_every_restart_converges(self, n):
+        # phi+ is found to 1e-9, so no restart may be reported as stagnated
+        res = relative_entanglement_entropy_upper(maximally_entangled(n), restarts=3)
+        assert res.meta["stagnated"] is False
+        assert res.meta["stop"] == "rel_tol"
+        assert abs(res.value - math.log(n)) <= 1e-9
+
+    @pytest.mark.parametrize("db", [2, 3])
+    def test_product_state_stops_at_round_off(self, db):
+        rho = product_state(random_density_matrix(2, seed=0).matrix,
+                            random_density_matrix(db, seed=1).matrix)
+        res = relative_entanglement_entropy_upper(rho, restarts=3)
+        verify_certificate(rho, res)
+        assert res.value <= 1e-12
+        # the best restart ends at round-off, not at the iteration cap
+        assert res.meta["stop"] in ("zero", "no_descent")
+        assert res.meta["iterations"] < 3 * 1500
+
+    def test_iteration_cap_is_reported(self):
+        res = relative_entanglement_entropy_upper(faithful_2x2(9), restarts=2, max_iter=5)
+        assert res.meta["stop"] == "max_iter" and res.meta["stagnated"] is True
+        assert res.meta["iterations"] == 10
+
+    def test_zero_value_stops_before_a_step(self):
+        # a start that already reproduces a product state has nothing to descend
+        ra, rb = random_density_matrix(2, seed=0).matrix, random_density_matrix(2, seed=1).matrix
+        wa, va = np.linalg.eigh(ra)
+        wb, vb = np.linalg.eigh(rb)
+        p = np.outer(wa, wb).ravel()
+        av, bv = np.repeat(va, 2, axis=1), np.tile(vb, 2)
+        rho = product_state(ra, rb)
+        val, _, iters, stop = measures._descend(rho.matrix, 2, 2, p, av, bv, 1500)
+        assert (iters, stop) == (0, "zero") and val <= 1e-14
+
+    @pytest.mark.parametrize("rho", [
+        maximally_entangled(2),
+        maximally_entangled(3),
+        random_density_matrix(2, 2, seed=0),
+        random_density_matrix(3, 3, seed=0),
+    ], ids=["phi_plus_2", "phi_plus_3", "ginibre_2x2", "ginibre_3x3"])
+    def test_no_worse_than_the_weighted_descent(self, rho):
+        # from the same starts as the weighted projected-gradient oracle; both
+        # stop once a step gains less than 1e-10 relative, so that is the slack
+        ref = min(descend_weighted(rho.matrix, rho.dimA, rho.dimB, p, av, bv, 1500)[0]
+                  for p, av, bv in measures._er_starts(rho, 2 * rho.dim, 3, 0))
+        res = relative_entanglement_entropy_upper(rho, restarts=3, seed=0)
+        verify_certificate(rho, res)
+        assert res.value <= ref + 1e-10 * ref
 
 
 class TestDominatingSeparable:
