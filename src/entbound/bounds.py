@@ -1,78 +1,61 @@
 """Lower-bound toolkit: the binary relative-entropy gap function and the
-norm-distance, fidelity, correlator and packing lower bounds built on it."""
+correlator and packing lower bounds built on it."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, matrix_power_psd, partial_trace, trace_norm
+from .linalg import DensityMatrix, partial_trace
 from .measures import _sign_observable, mutual_information
-from .modular import relative_entropy
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 
 class BoundsError(ValueError):
     pass
 
 
-def _binary_relent(p: float, q: float) -> float:
-    return p * (math.log(p) - math.log(q)) + (1.0 - p) * (math.log1p(-p) - math.log1p(-q))
+def _relent_and_slope(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(q + x || q) and its q-derivative, elementwise, for 0 < q < 1 - x.
+
+    With a = x/q and b = x/(1-q), D = p log1p(a) + (1-p) log1p(-b) and the
+    derivative is (log1p(a) - a) - (log1p(-b) + b).  1 - p is formed as
+    (1 - x) - q; where b > 1/2, log1p(-b) is taken as log(1-p) - log1p(-q),
+    which keeps its precision as 1 - p falls toward 0.
+    """
+    a = x / q
+    b = x / (1.0 - q)
+    one_p = (1.0 - x) - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(b > 0.5, np.log(one_p) - np.log1p(-q), np.log1p(-b))
+        value = (q + x) * np.log1p(a) + np.where(one_p > 0.0, one_p * tail, 0.0)
+    return value, (np.log1p(a) - a) - (tail + b)
 
 
-def gap_s(x: float) -> float:
+def gap_s(x):
     """Infimum of the binary relative entropy at fixed probability gap x.
 
-    One-dimensional convex minimization over q in (0, 1-x): bracketed golden
-    section polished by safeguarded Newton steps.  Satisfies s(x) >= 2 x^2
-    and grows like -log(1-x) toward the right endpoint.
+    s(x) = min over q in (0, 1-x) of D(q + x || q), a convex problem whose
+    minimiser lies in ((1-x)/2, 1-x); every x is solved at once by bisecting
+    the sign of the derivative in log q.  Takes a float or an array and
+    returns the same.  Satisfies s(x) >= 2 x^2 and grows like -log(1-x)
+    toward the right endpoint.
     """
-    from scipy.optimize import minimize_scalar
-
-    if not 0.0 < x < 1.0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 0.0) & (xs < 1.0)):
         raise BoundsError(f"gap argument must be in (0, 1), got {x}")
-    top = 1.0 - x
-    lo, hi = 1e-300, top * (1.0 - 1e-12)
-    res = minimize_scalar(
-        lambda q: _binary_relent(q + x, q),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    q = float(res.x)
-    # Newton polish (objective is convex in q)
-    for _ in range(40):
-        p = q + x
-        d1 = (
-            math.log(p / q)
-            - math.log((1.0 - p) / (1.0 - q))
-            - p / q
-            + (1.0 - p) / (1.0 - q)
-        )
-        d2 = (
-            1.0 / p
-            - 2.0 / q
-            + p / q**2
-            + 1.0 / (1.0 - p)
-            - 2.0 / (1.0 - q)
-            + (1.0 - p) / (1.0 - q) ** 2
-        )
-        if d2 <= 0:
-            break
-        q_new = q - d1 / d2
-        if not lo < q_new < top:
-            break
-        if abs(q_new - q) < 1e-16 * max(q, 1e-16):
-            q = q_new
-            break
-        q = q_new
-    return _binary_relent(q + x, q)
+    hi = np.log1p(-xs)
+    lo = hi - 1.0
+    for _ in range(60):  # the bracket starts one wide, so this reaches round-off
+        mid = 0.5 * (lo + hi)
+        below = _relent_and_slope(xs, np.exp(mid))[1] < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    # lo is always a point strictly inside (0, 1 - x)
+    value = _relent_and_slope(xs, np.exp(lo))[0]
+    return float(value) if value.ndim == 0 else value
 
 
 def gap_s_series(x: float) -> float:
@@ -82,21 +65,22 @@ def gap_s_series(x: float) -> float:
 
 @dataclass(frozen=True)
 class GapFunctionTable:
-    """Cached monotone interpolant of the gap function on (0, 1)."""
+    """The gap function on (0, 1) with its values on a fixed grid.
+
+    Between the grid ends s is evaluated exactly; below the grid the
+    truncated series (a lower bound, all its terms being positive) is used,
+    and above it the value at the last node (a lower bound, s rising).
+    """
 
     grid: np.ndarray
     values: np.ndarray
-    _interp: PchipInterpolator
 
     @classmethod
     def build(cls, n: int = 400) -> "GapFunctionTable":
-        from scipy.interpolate import PchipInterpolator
-
         left = np.geomspace(1e-6, 0.5, n // 2)
         right = 1.0 - np.geomspace(1e-6, 0.5, n // 2)[::-1]
         grid = np.unique(np.concatenate([left, right]))
-        vals = np.array([gap_s(float(x)) for x in grid])
-        return cls(grid=grid, values=vals, _interp=PchipInterpolator(grid, vals))
+        return cls(grid=grid, values=gap_s(grid))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -105,7 +89,7 @@ class GapFunctionTable:
         big = x >= self.grid[-1]
         mid = ~(small | big)
         out[small] = gap_s_series(x[small]) if np.any(small) else 0.0
-        out[mid] = self._interp(x[mid])
+        out[mid] = gap_s(x[mid])
         out[big] = self.values[-1]
         return out if out.ndim else float(out)
 
@@ -115,31 +99,6 @@ def gap_table() -> GapFunctionTable:
     """The default gap-function table, built on first use."""
     # build is looked up at call time, so a wrapper put on it (to time it) applies
     return GapFunctionTable.build()
-
-
-def entropy_gap_check(rho: DensityMatrix, rho2: DensityMatrix):
-    """H(rho, rho2) against s of half the trace distance."""
-    h = relative_entropy(rho, rho2)
-    x = 0.5 * trace_norm(rho.matrix - rho2.matrix)
-    s = gap_s(x) if 0.0 < x < 1.0 else (0.0 if x <= 0.0 else float("inf"))
-    if not math.isfinite(h):
-        return h, s, True
-    return h, s, bool(h >= s - 1e-8)
-
-
-def fidelity_lower_bound_check(rho: DensityMatrix, rho2: DensityMatrix):
-    """H(rho, rho2) against s(1 - <cone rep | cone rep>)."""
-    overlap = float(
-        np.trace(matrix_power_psd(rho.matrix, 0.5) @ matrix_power_psd(rho2.matrix, 0.5)).real
-    )
-    h = relative_entropy(rho, rho2)
-    if overlap <= 0.0:
-        return float("inf"), float("inf"), True
-    arg = 1.0 - overlap
-    s = gap_s(arg) if arg > 0.0 else 0.0
-    if not math.isfinite(h):
-        return h, s, True
-    return h, s, bool(h >= s - 1e-8)
 
 
 def _hermitian_contraction(d: int, rng: np.random.Generator) -> np.ndarray:

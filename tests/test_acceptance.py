@@ -17,8 +17,6 @@ import numpy as np
 from entbound.bounds import (
     PackingConfig,
     area_law_lower,
-    entropy_gap_check,
-    fidelity_lower_bound_check,
     gap_s,
     gap_s_series,
 )
@@ -74,7 +72,7 @@ from entbound.sectors import (
     minimal_model_dim,
     young_dim,
 )
-from oracles import bell_phi_plus_value
+from oracles import bell_phi_plus_value, entropy_gap_check, fidelity_lower_bound_check
 from scipy.integrate import quad
 
 

@@ -7,8 +7,6 @@ from entbound.bounds import (
     BoundsError,
     PackingConfig,
     area_law_lower,
-    entropy_gap_check,
-    fidelity_lower_bound_check,
     gap_s,
     gap_s_series,
     gap_table,
@@ -22,6 +20,10 @@ from entbound.linalg import (
     random_density_matrix,
 )
 from entbound.measures import mutual_information
+from oracles import entropy_gap_check, fidelity_lower_bound_check, gap_s_mp, gap_s_scalar
+
+# where the two geometric halves of the gap table's grid meet
+GRID_SEAM = 0.5235
 
 
 class TestGapFunction:
@@ -53,11 +55,50 @@ class TestGapFunction:
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(BoundsError):
                 gap_s(bad)
+        with pytest.raises(BoundsError):
+            gap_s(np.array([0.2, 1.0]))
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-4, 0.05, GRID_SEAM, 0.9, 0.999, 1 - 1e-6, 1 - 1e-12])
+    def test_mpmath_anchor(self, x):
+        want = float(gap_s_mp(x))
+        assert abs(gap_s(x) - want) <= 1e-9 * want
+
+    def test_agrees_with_scalar_oracle(self):
+        xs = np.concatenate([np.geomspace(1e-3, 0.97, 150), np.linspace(0.97, 0.999, 30)[1:]])
+        new = gap_s(xs)
+        old = np.array([gap_s_scalar(float(x)) for x in xs])
+        rel = (old - new) / old
+        # past x = 0.97 the oracle's bracket (1-x)(1 - 1e-12) cuts off the
+        # minimiser, so it sits above s there (by up to 2.4e-9; the anchors
+        # at 0.999 and 1 - 1e-6 pin the new values to mpmath)
+        cut = xs > 0.97
+        assert np.all(np.abs(rel[~cut]) <= 1e-9)
+        assert np.all((rel[cut] >= -1e-12) & (rel[cut] <= 3e-9))
+
+    def test_array_matches_floats(self):
+        xs = np.concatenate([np.geomspace(1e-6, 0.5, 40), 1 - np.geomspace(1e-6, 0.5, 40)])
+        got = gap_s(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        floats = [gap_s(float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(got, np.array(floats))
 
     def test_table_matches_direct(self):
         table = gap_table()
         for x in (0.01, 0.2, 0.5, 0.9, 0.99):
             assert abs(table(x) - gap_s(x)) <= 2e-4 * max(gap_s(x), 1e-3)
+
+    def test_table_is_lower_envelope(self):
+        table = gap_table()
+        xs = np.unique(np.concatenate([
+            np.geomspace(1e-7, 0.45, 30),
+            np.linspace(0.45, 0.6, 61),
+            [GRID_SEAM],
+            1 - np.geomspace(1e-7, 0.4, 30),
+        ]))
+        got = table(xs)
+        for x, v in zip(xs, got):
+            assert v <= float(gap_s_mp(float(x))) * (1 + 1e-9), x
 
 
 class TestEntropyGap:

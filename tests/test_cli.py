@@ -234,7 +234,8 @@ class TestImportCost:
         assert (tmp_path / "dirac.csv").exists() and (tmp_path / "measures.json").exists()
 
     def test_integrable_sweep_leaves_scipy_optimize_unloaded(self, tmp_path):
-        # the strip norm is a closed-form product; only K0 needs scipy.special
+        # the strip norm is a closed-form product and K0 a trapezoid sum, so
+        # the sweep imports no solver (nor any other part of scipy)
         script = (
             "import sys\n"
             "import entbound.cli\n"
@@ -249,6 +250,37 @@ class TestImportCost:
             env=env, capture_output=True, text=True, timeout=120, check=True)
         assert fresh.stdout.strip() == "False"
         assert "log_bound" in (tmp_path / "integrable.csv").read_text()
+
+    def test_lattice_commands_leave_scipy_unloaded(self, tmp_path):
+        # the gap function is a vectorized bisection and K0 a trapezoid sum,
+        # so the gaussian sweep with Weyl trials and both integrable sweeps
+        # run without scipy
+        script = (
+            "import sys\n"
+            "import entbound.cli\n"
+            "out = sys.argv[1]\n"
+            "argvs = [\n"
+            "    ['gaussian', '--sites', '256', '--mass', '0.8', '--spacing', '0.25',\n"
+            "     '--regionA', '24..39', '--gap', '6..22..2', '--trials', '48', '--seed', '1',\n"
+            "     '--out', out + '/gaussian.csv'],\n"
+            "    ['integrable', '--model', 'sinh-gordon', '--g', '0.5', '--mR', '0.5..40..0.5',\n"
+            "     '--kappa', '0.3', '--delta', '0.1', '--out', out + '/sinh-gordon.csv'],\n"
+            "    ['integrable', '--model', 'custom', '--poles', '0.6,1.0,1.4', '--mR', '3..40..0.5',\n"
+            "     '--kappa', '0.3', '--delta', '0.1', '--out', out + '/custom.csv'],\n"
+            "]\n"
+            "for argv in argvs:\n"
+            "    assert entbound.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                               env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert fresh.stdout.strip() == "[]"
+        lower = [float(line.split(",")[3])
+                 for line in (tmp_path / "gaussian.csv").read_text().splitlines()[1:]]
+        assert len(lower) == 9 and min(lower) > 0.0
+        for name in ("sinh-gordon.csv", "custom.csv"):
+            assert "log_bound" in (tmp_path / name).read_text()
 
 
 class TestOtherCommands:

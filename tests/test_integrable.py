@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import entbound.integrable as integrable
+from entbound.cli import main as cli_main
 from entbound.integrable import (
     IntegrableError,
     SMatrix,
@@ -181,6 +183,13 @@ class TestBesselK0:
     def test_domain(self):
         with pytest.raises(IntegrableError):
             bessel_k0(0.0)
+
+    def test_matches_scipy(self):
+        from scipy.special import k0
+
+        xs = np.geomspace(1e-6, 700.0, 2000)
+        got = np.array([bessel_k0(float(x)) for x in xs])
+        assert np.all(np.abs(got - k0(xs)) <= 1e-14 * k0(xs))
 
 
 class TestTKernel:
@@ -431,6 +440,35 @@ class TestVacuumBound:
         terms = [math.exp(max(n * log_q, n * (log_q + math.log(c)) + log_kf))
                  for n in range(1, 2000)]
         assert abs(res.nu - (1.0 + math.fsum(terms))) <= 1e-12 * res.nu
+
+    @pytest.mark.parametrize("model", [
+        ["--model", "sinh-gordon", "--g", "0.5", "--mR", "0.5..40..0.5"],
+        ["--model", "custom", "--poles", "0.6,1.0,1.4", "--mR", "3..40..0.5"],
+    ], ids=["sinh-gordon", "custom-3pole"])
+    def test_sweep_matches_scipy_k0(self, model, tmp_path, monkeypatch):
+        from scipy.special import k0
+
+        argv = ["integrable"] + model + ["--kappa", "0.3", "--delta", "0.1"]
+
+        def sweep(name):
+            out = tmp_path / name
+            assert cli_main(argv + ["--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        rows = sweep("trapezoid.csv")
+        monkeypatch.setattr(integrable, "bessel_k0", lambda x: float(k0(x)))
+        want = sweep("scipy.csv")
+        assert len(rows) == len(want)
+        assert {r["converged"] for r in want} == {"0", "1"}
+        for got, ref in zip(rows, want):
+            for key in ("mR", "converged", "asymptotic", "error"):
+                assert got[key] == ref[key]
+            for key in ("nu", "log_bound"):
+                if ref[key] == "":
+                    assert got[key] == ""
+                else:
+                    assert abs(float(got[key]) - float(ref[key])) <= 2e-15 * abs(float(ref[key]))
 
     def test_parameter_validation(self):
         s = sinh_gordon(0.5)
