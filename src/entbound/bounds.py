@@ -17,21 +17,52 @@ class BoundsError(ValueError):
     pass
 
 
-def _relent_and_slope(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(q + x || q) and its q-derivative, elementwise, for 0 < q < 1 - x.
+def _psi(y: np.ndarray) -> np.ndarray:
+    """psi(y) = (1 + y) log1p(y) - y >= 0, elementwise for y > -1.
 
-    With a = x/q and b = x/(1-q), D = p log1p(a) + (1-p) log1p(-b) and the
-    derivative is (log1p(a) - a) - (log1p(-b) + b).  1 - p is formed as
-    (1 - x) - q; where b > 1/2, log1p(-b) is taken as log(1-p) - log1p(-q),
-    which keeps its precision as 1 - p falls toward 0.
+    Where |y| < 0.1 the two terms cancel, so there psi is summed from its
+    alternating series sum_{n>=2} (-y)^n / (n (n - 1)), which sixteen terms
+    take to round-off.
     """
-    a = x / q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (1.0 + y) * np.log1p(y) - y
+    series = np.zeros_like(y)
+    for n in range(17, 1, -1):
+        series = 1.0 / (n * (n - 1)) - y * series
+    return np.where(np.abs(y) < 0.1, y * y * series, direct)
+
+
+def _tail(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b = x/(1-q), 1 - p and log1p(-b) at p = q + x.
+
+    1 - p is formed as (1 - x) - q; where b > 1/2, log1p(-b) is taken as
+    log(1-p) - log1p(-q), which keeps its precision as 1 - p falls toward 0.
+    """
     b = x / (1.0 - q)
     one_p = (1.0 - x) - q
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.where(b > 0.5, np.log(one_p) - np.log1p(-q), np.log1p(-b))
-        value = (q + x) * np.log1p(a) + np.where(one_p > 0.0, one_p * tail, 0.0)
-    return value, (np.log1p(a) - a) - (tail + b)
+    return b, one_p, tail
+
+
+def _slope(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q-derivative (log1p(a) - a) - (log1p(-b) + b) of D(q + x || q), a = x/q."""
+    a = x / q
+    b, _, tail = _tail(x, q)
+    return (np.log1p(a) - a) - (tail + b)
+
+
+def _relent(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(q + x || q) = q psi(a) + (1-q) psi(-b), for 0 < q < 1 - x.
+
+    Both terms are nonnegative, so nothing cancels between them even where
+    D ~ 2x^2 is far below x.  Where b > 1/2, (1-q) psi(-b) is taken as
+    (1-p) log1p(-b) + x with the tail of ``_tail``.
+    """
+    b, one_p, tail = _tail(x, q)
+    with np.errstate(invalid="ignore"):
+        far = np.where(one_p > 0.0, one_p * tail, 0.0) + x
+    return q * _psi(x / q) + np.where(b > 0.5, far, (1.0 - q) * _psi(-b))
 
 
 def gap_s(x):
@@ -50,11 +81,11 @@ def gap_s(x):
     lo = hi - 1.0
     for _ in range(60):  # the bracket starts one wide, so this reaches round-off
         mid = 0.5 * (lo + hi)
-        below = _relent_and_slope(xs, np.exp(mid))[1] < 0.0
+        below = _slope(xs, np.exp(mid)) < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     # lo is always a point strictly inside (0, 1 - x)
-    value = _relent_and_slope(xs, np.exp(lo))[0]
+    value = _relent(xs, np.exp(lo))
     return float(value) if value.ndim == 0 else value
 
 

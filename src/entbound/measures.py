@@ -61,7 +61,7 @@ class SeparableAnsatz:
     def materialize(self) -> DensityMatrix:
         da = self.factors_a.shape[0]
         db = self.factors_b.shape[0]
-        sigma = _ansatz_matrix(self.weights, self.factors_a, self.factors_b)
+        sigma = _ansatz_matrix(self.weights[None], self.factors_a[None], self.factors_b[None])[0]
         return DensityMatrix(dimA=da, dimB=db, matrix=sigma / np.trace(sigma).real)
 
 
@@ -92,8 +92,11 @@ class MeasureResult:
     meta: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
+        """The scalar fields, as plain Python values (numpy scalars converted;
+        lists and arrays left out)."""
         rec = {"measure": self.measure, "value": self.value, "kind": self.kind}
-        rec.update({k: v for k, v in self.meta.items() if isinstance(v, (int, float, str, bool))})
+        meta = {k: v.item() if isinstance(v, np.generic) else v for k, v in self.meta.items()}
+        rec.update({k: v for k, v in meta.items() if isinstance(v, (int, float, str, bool))})
         rec["has_certificate"] = self.certificate is not None
         return rec
 
@@ -161,36 +164,42 @@ def schmidt_entropy(psi: np.ndarray, dimA: int, dimB: int) -> MeasureResult:
 
 
 def _ansatz_matrix(p: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    da, k = av.shape
-    db = bv.shape[0]
-    cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, k)
-    return (cols * p) @ cols.conj().T
+    """Stacked mixtures: p (R, k), av (R, dA, k), bv (R, dB, k) -> (R, n, n)."""
+    r, da, k = av.shape
+    db = bv.shape[1]
+    cols = (av[:, :, None, :] * bv[:, None, :, :]).reshape(r, da * db, k)
+    return (cols * p[:, None, :]) @ cols.conj().swapaxes(-1, -2)
 
 
 def _rel_ent_and_grad(
     rho_m: np.ndarray, neg_entropy: float, sigma: np.ndarray
-) -> tuple[float, np.ndarray | None]:
-    """H(rho, sigma) plus the gradient of -Tr rho log sigma in sigma.
+) -> tuple[np.ndarray, np.ndarray]:
+    """H(rho, sigma) plus the gradient of -Tr rho log sigma in sigma, for a
+    stack of sigmas (R, n, n) with one eigh; returns values (R,) and
+    gradients (R, n, n).
 
-    ``neg_entropy`` is Tr rho log rho over the eigenvalues above 1e-14.
+    ``neg_entropy`` is Tr rho log rho over the eigenvalues above 1e-14.  A
+    sigma that leaves more than 1e-12 of rho's weight off its support has
+    value inf (its gradient is then meaningless).
     """
     cut = 1e-14
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    w = np.clip(w, 0.0, None)
-    rt = v.conj().T @ rho_m @ v
+    w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().swapaxes(-1, -2)))
+    w = np.maximum(w, 0.0)
+    vh = v.conj().swapaxes(-1, -2)
+    rt = vh @ rho_m @ v
     pos = w > cut
-    if (~pos).any() and float(np.trace(rt[np.ix_(~pos, ~pos)]).real) > 1e-12:
-        return float("inf"), None
-    h = neg_entropy - float(np.sum(np.diag(rt).real[pos] * np.log(w[pos])))
-    lw = np.where(pos, np.log(np.where(pos, w, 1.0)), 0.0)
-    num = lw[:, None] - lw[None, :]
-    den = w[:, None] - w[None, :]
+    diag = np.diagonal(rt, axis1=-2, axis2=-1).real
+    lw = np.log(np.where(pos, w, 1.0))   # 0 off the support
+    h = neg_entropy - (diag * lw).sum(axis=-1)
+    num = lw[:, :, None] - lw[:, None, :]
+    den = w[:, :, None] - w[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(den) > 1e-12, num / den,
-                       1.0 / np.where(w[:, None] > cut, w[:, None], np.inf))
-    phi = np.where(pos[:, None] & pos[None, :], phi, 0.0)
-    g = -(v @ (phi * rt) @ v.conj().T)
-    return h, 0.5 * (g + g.conj().T)
+        phi = np.where(np.abs(den) > 1e-12, num / den, 1.0 / np.where(pos, w, np.inf)[:, :, None])
+    if not pos.all():
+        h[np.where(pos, 0.0, diag).sum(axis=-1) > 1e-12] = np.inf
+        phi = np.where(pos[:, :, None] & pos[:, None, :], phi, 0.0)
+    g = -(v @ (phi * rt) @ vh)
+    return h, 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -223,54 +232,99 @@ def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: np.r
     return p / p.sum(), np.column_stack([c[1] for c in comps]), np.column_stack([c[2] for c in comps])
 
 
-def _descend(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
-    """Descend H(rho, sigma) from (p, av, bv): (value, mixture, iterations, stop)."""
+def _direction(grad, p, av, bv):
+    """Weight gradients and sphere-tangent factor gradients of a stack."""
+    r, da, k = av.shape
+    cols = (av[:, :, None, :] * bv[:, None, :, :]).reshape(r, -1, k)
+    gv = grad @ cols
+    gp = np.einsum("rik,rik->rk", cols.conj(), gv).real
+    gm = gv.reshape(r, da, -1, k)
+    # unweighted factor gradients, projected onto the spheres' tangent planes
+    ga = np.einsum("rabk,rbk->rak", gm, bv.conj())
+    gb = np.einsum("rabk,rak->rbk", gm, av.conj())
+    ga -= av * np.einsum("rak,rak->rk", av.conj(), ga).real[:, None, :]
+    gb -= bv * np.einsum("rbk,rbk->rk", bv.conj(), gb).real[:, None, :]
+    # the normalised multiplicative step ignores a shift of gp; from its
+    # least value on the support every factor exp(-step gp) is in (0, 1]
+    floor = np.where(p > 0, gp, np.inf).min(axis=-1, keepdims=True)
+    return np.clip(gp - floor, 0.0, None), ga, gb
+
+
+def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
+    """Descend H(rho, sigma) from R stacked starts p (R, k), av (R, dA, k),
+    bv (R, dB, k) in lockstep.
+
+    Each round tries one step for every live restart with one stacked
+    evaluation.  A restart keeps its own step size, iteration count and stop
+    reason: on acceptance it advances, grows its step by 1.3 and takes a new
+    direction; on rejection it halves its step.  So each restart follows the
+    trajectory it would follow alone.  A stopped restart leaves the stack.
+    Returns one (value, (p, av, bv), iterations, stop) per restart.
+    """
     # Tr rho log rho does not depend on sigma: one eigvalsh per descent
     wr = np.linalg.eigvalsh(rho_m)
     wr = wr[wr > 1e-14]
     neg_entropy = float(np.sum(wr * np.log(wr)))
     val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
-    if not np.isfinite(val):
-        return float("inf"), (p, av, bv), 0, "no_descent"
-    step = 0.5
-    for it in range(max_iter):
-        if val <= 1e-14:
-            return val, (p, av, bv), it, "zero"
-        cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
-        gv = grad @ cols
-        gp = np.einsum("ik,ik->k", cols.conj(), gv).real
-        gm = gv.reshape(da, db, -1)
-        # unweighted factor gradients, projected onto the spheres' tangent planes
-        ga = np.einsum("abk,bk->ak", gm, bv.conj())
-        gb = np.einsum("abk,ak->bk", gm, av.conj())
-        ga -= av * np.einsum("ak,ak->k", av.conj(), ga).real
-        gb -= bv * np.einsum("bk,bk->k", bv.conj(), gb).real
-        # the normalised multiplicative step ignores a shift of gp; from its
-        # least value on the support every factor exp(-step gp) is in (0, 1]
-        gp = np.clip(gp - gp[p > 0].min(), 0.0, None)
-        while step > 1e-14:
-            p2 = p * np.exp(-step * gp)
-            p2 /= p2.sum()
-            a2 = av - step * ga
-            b2 = bv - step * gb
-            a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
-            b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
-            val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
-            if np.isfinite(val2) and val2 < val - 1e-16:
-                rel = (val - val2) / max(abs(val), 1e-30)
-                p, av, bv, val, grad = p2, a2, b2, val2, grad2
-                step *= 1.3
+    running, rel_tol_stop, no_descent, max_iter_stop, zero = range(5)
+    names = ("", "rel_tol", "no_descent", "max_iter", "zero")
+    n_r = len(p)
+    # the working stack, updated in place: the restarts still running, with
+    # their original index
+    p, av, bv = p.copy(), av.copy(), bv.copy()
+    idx, step, iters = np.arange(n_r), np.full(n_r, 0.5), np.zeros(n_r, dtype=int)
+    # an infeasible start stops before its first step
+    stop = np.where(np.isfinite(val), running, no_descent)
+    fresh = stop == running   # restarts at the top of an iteration, owed a new direction
+    # each restart's result, written when it stops
+    final = [np.empty_like(part) for part in (p, av, bv, val, iters, stop)]
+    gp, ga, gb = np.zeros_like(p), np.zeros_like(av), np.zeros_like(bv)
+    while True:
+        # a restart that has not moved since its last top of an iteration
+        # cannot newly meet these two tests, so they apply to the whole stack
+        stop[(stop == running) & (iters >= max_iter)] = max_iter_stop
+        stop[(stop == running) & (val <= 1e-14)] = zero
+        out = stop != running
+        if out.any():
+            for arr, part in zip(final, (p, av, bv, val, iters, stop)):
+                arr[idx[out]] = part[out]
+            keep = ~out
+            idx, step, iters, stop, fresh = idx[keep], step[keep], iters[keep], stop[keep], fresh[keep]
+            p, av, bv, val, grad = p[keep], av[keep], bv[keep], val[keep], grad[keep]
+            gp, ga, gb = gp[keep], ga[keep], gb[keep]
+            if not idx.size:
                 break
-            step *= 0.5
+        if fresh.all():
+            gp, ga, gb = _direction(grad, p, av, bv)
+        elif fresh.any():
+            gp[fresh], ga[fresh], gb[fresh] = _direction(grad[fresh], p[fresh], av[fresh], bv[fresh])
+        p2 = p * np.exp(-step[:, None] * gp)
+        p2 /= p2.sum(axis=-1, keepdims=True)
+        a2 = av - step[:, None, None] * ga
+        b2 = bv - step[:, None, None] * gb
+        a2 = a2 / np.linalg.norm(a2, axis=1, keepdims=True)
+        b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)
+        val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
+        ok = np.isfinite(val2) & (val2 < val - 1e-16)
+        rel = (val - val2) / np.maximum(np.abs(val), 1e-30)
+        if ok.all():
+            p, av, bv, val, grad = p2, a2, b2, val2, grad2
         else:
-            return val, (p, av, bv), it + 1, "no_descent"
-        if it > 10 and rel < rel_tol:
-            return val, (p, av, bv), it + 1, "rel_tol"
-    return val, (p, av, bv), max_iter, "max_iter"
+            p[ok], av[ok], bv[ok], val[ok], grad[ok] = p2[ok], a2[ok], b2[ok], val2[ok], grad2[ok]
+        step = np.where(ok, step * 1.3, step * 0.5)
+        iters += ok
+        stop[ok & (iters > 11) & (rel < rel_tol)] = rel_tol_stop
+        dead = ~ok & (step <= 1e-14)
+        stop[dead] = no_descent
+        iters += dead
+        fresh = ok
+    fp, fa, fb, fv, fi, fs = final
+    return [(float(fv[r]), (fp[r], fa[r], fb[r]), int(fi[r]), names[fs[r]]) for r in range(n_r)]
 
 
-def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> list:
-    """The Schmidt-channel start plus ``restarts - 1`` random mixtures."""
+def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> tuple:
+    """The Schmidt-channel start plus ``restarts - 1`` random mixtures,
+    stacked: p (R, k), av (R, dA, k), bv (R, dB, k)."""
     da, db = rho.dimA, rho.dimB
     rng = np.random.default_rng(seed)
     starts = [_schmidt_channel_init(rho.matrix, da, db, k, rng)]
@@ -279,7 +333,7 @@ def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> list:
         starts.append((p / p.sum(),
                        np.column_stack([_random_unit(da, rng) for _ in range(k)]),
                        np.column_stack([_random_unit(db, rng) for _ in range(k)])))
-    return starts
+    return tuple(np.stack(part) for part in zip(*starts))
 
 
 def relative_entanglement_entropy_upper(
@@ -295,19 +349,21 @@ def relative_entanglement_entropy_upper(
     on its unit sphere along its unweighted tangent gradient, so a light
     component moves as fast as a heavy one, and the weights take entropic
     (mirror-descent) steps p exp(-step g) on the simplex.  Every feasible
-    mixture certifies an upper bound; the best restart's value and ansatz
-    are returned.  ``meta["stop"]`` says why that restart ended: ``rel_tol``,
-    ``no_descent`` (the step fell below 1e-14), ``max_iter`` or ``zero``
-    (round-off; E_R >= 0).  ``meta["stagnated"]``: some restart hit max_iter.
+    mixture certifies an upper bound.  The restarts run in lockstep as one
+    stack (one stacked eigh per round for all live restarts), and each
+    follows the trajectory it would follow alone; the first restart with
+    the lowest value gives the returned value and ansatz.  ``meta["stop"]``
+    says why that restart ended: ``rel_tol``, ``no_descent`` (the step fell
+    below 1e-14), ``max_iter`` or ``zero`` (round-off; E_R >= 0).
+    ``meta["stagnated"]``: some restart hit max_iter.  ``meta["iterations"]``
+    sums the restarts' iterations.
     """
     if rho.dimB == 1:
         raise MeasureError("E_R needs a bipartite state")
     if rho.dim > 64:
         raise MeasureError("optimizer capped at total dimension 64")
-    da, db = rho.dimA, rho.dimB
     k = 2 * rho.dim if n_components is None else n_components
-    runs = [_descend(rho.matrix, da, db, p, av, bv, max_iter)
-            for p, av, bv in _er_starts(rho, k, restarts, seed)]
+    runs = _descend(rho.matrix, *_er_starts(rho, k, restarts, seed), max_iter)
     val, (p, av, bv), _, stop = min(runs, key=lambda run: run[0])
     return MeasureResult(
         "ER", float(val), UPPER,

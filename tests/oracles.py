@@ -305,15 +305,100 @@ def modular_nuclearity_kron(rho):
     return nus["A"], nus["B"]
 
 
+def ansatz_matrix_sequential(p: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """One mixture of product states: (n, n) from p (k,), av (dA, k), bv (dB, k)."""
+    da, k = av.shape
+    db = bv.shape[0]
+    cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, k)
+    return (cols * p) @ cols.conj().T
+
+
+def rel_ent_and_grad_sequential(
+    rho_m: np.ndarray, neg_entropy: float, sigma: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """H(rho, sigma) plus the gradient of -Tr rho log sigma in sigma, for
+    one sigma (the unstacked form of ``entbound.measures._rel_ent_and_grad``).
+
+    ``neg_entropy`` is Tr rho log rho over the eigenvalues above 1e-14.
+    """
+    cut = 1e-14
+    w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    w = np.clip(w, 0.0, None)
+    rt = v.conj().T @ rho_m @ v
+    pos = w > cut
+    if (~pos).any() and float(np.trace(rt[np.ix_(~pos, ~pos)]).real) > 1e-12:
+        return float("inf"), None
+    h = neg_entropy - float(np.sum(np.diag(rt).real[pos] * np.log(w[pos])))
+    lw = np.where(pos, np.log(np.where(pos, w, 1.0)), 0.0)
+    num = lw[:, None] - lw[None, :]
+    den = w[:, None] - w[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(np.abs(den) > 1e-12, num / den,
+                       1.0 / np.where(w[:, None] > cut, w[:, None], np.inf))
+    phi = np.where(pos[:, None] & pos[None, :], phi, 0.0)
+    g = -(v @ (phi * rt) @ v.conj().T)
+    return h, 0.5 * (g + g.conj().T)
+
+
+def descend_sequential(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
+    """Descend H(rho, sigma) from one start (p, av, bv): (value, mixture,
+    iterations, stop).
+
+    The one-restart-at-a-time form of ``entbound.measures._descend``, which
+    runs every restart in lockstep and must follow the same trajectories.
+    """
+    # Tr rho log rho does not depend on sigma: one eigvalsh per descent
+    wr = np.linalg.eigvalsh(rho_m)
+    wr = wr[wr > 1e-14]
+    neg_entropy = float(np.sum(wr * np.log(wr)))
+    val, grad = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p, av, bv))
+    if not np.isfinite(val):
+        return float("inf"), (p, av, bv), 0, "no_descent"
+    step = 0.5
+    for it in range(max_iter):
+        if val <= 1e-14:
+            return val, (p, av, bv), it, "zero"
+        cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
+        gv = grad @ cols
+        gp = np.einsum("ik,ik->k", cols.conj(), gv).real
+        gm = gv.reshape(da, db, -1)
+        # unweighted factor gradients, projected onto the spheres' tangent planes
+        ga = np.einsum("abk,bk->ak", gm, bv.conj())
+        gb = np.einsum("abk,ak->bk", gm, av.conj())
+        ga -= av * np.einsum("ak,ak->k", av.conj(), ga).real
+        gb -= bv * np.einsum("bk,bk->k", bv.conj(), gb).real
+        # the normalised multiplicative step ignores a shift of gp; from its
+        # least value on the support every factor exp(-step gp) is in (0, 1]
+        gp = np.clip(gp - gp[p > 0].min(), 0.0, None)
+        while step > 1e-14:
+            p2 = p * np.exp(-step * gp)
+            p2 /= p2.sum()
+            a2 = av - step * ga
+            b2 = bv - step * gb
+            a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
+            b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
+            val2, grad2 = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p2, a2, b2))
+            if np.isfinite(val2) and val2 < val - 1e-16:
+                rel = (val - val2) / max(abs(val), 1e-30)
+                p, av, bv, val, grad = p2, a2, b2, val2, grad2
+                step *= 1.3
+                break
+            step *= 0.5
+        else:
+            return val, (p, av, bv), it + 1, "no_descent"
+        if it > 10 and rel < rel_tol:
+            return val, (p, av, bv), it + 1, "rel_tol"
+    return val, (p, av, bv), max_iter, "max_iter"
+
+
 def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
     """E_R descent along the weighted Euclidean gradient, weights projected
     onto the simplex; returns (value, (p, av, bv), iterations).
 
     Each factor-vector gradient carries its component's weight, so a
     low-weight component barely moves.  The line search and stop test are
-    those of ``entbound.measures._descend``.
+    those of ``descend_sequential``.
     """
-    from entbound.measures import _ansatz_matrix, _rel_ent_and_grad
 
     def _project_simplex(p):
         u = np.sort(p)[::-1]
@@ -326,11 +411,11 @@ def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
     wr = np.linalg.eigvalsh(rho_m)
     wr = wr[wr > 1e-14]
     neg_entropy = float(np.sum(wr * np.log(wr)))
-    val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
+    val, grad = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p, av, bv))
     if not np.isfinite(val):
         k = len(p)
         p = 0.9 * p + 0.1 / k
-        val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
+        val, grad = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p, av, bv))
         if not np.isfinite(val):
             return float("inf"), (p, av, bv), 0
     step = 0.5
@@ -351,7 +436,7 @@ def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
             b2 = bv - step * gb
             a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
             b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
-            val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
+            val2, grad2 = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p2, a2, b2))
             if np.isfinite(val2) and val2 < val - 1e-16:
                 rel = (val - val2) / max(abs(val), 1e-30)
                 p, av, bv, val, grad = p2, a2, b2, val2, grad2

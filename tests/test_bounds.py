@@ -63,6 +63,13 @@ class TestGapFunction:
         want = float(gap_s_mp(x))
         assert abs(gap_s(x) - want) <= 1e-9 * want
 
+    @pytest.mark.parametrize("x", [1e-6, 1e-5, 1e-4, 1e-3])
+    def test_small_gap_to_round_off(self, x):
+        # D is summed from two nonnegative terms, so it keeps full relative
+        # precision while s(x) ~ 2x^2 is far below x
+        want = float(gap_s_mp(x))
+        assert abs(gap_s(x) - want) <= 1e-13 * want
+
     def test_agrees_with_scalar_oracle(self):
         xs = np.concatenate([np.geomspace(1e-3, 0.97, 150), np.linspace(0.97, 0.999, 30)[1:]])
         new = gap_s(xs)

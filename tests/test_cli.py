@@ -77,6 +77,22 @@ class TestMeasuresCommand:
         assert abs(values["EN"]) <= 5e-3
         assert abs(values["EB"] - 1.0) <= 1e-4
 
+    def test_numpy_scalar_meta_reaches_the_json(self, product_file, tmp_path, monkeypatch):
+        # numpy scalars in meta are written as plain JSON values; lists and
+        # arrays stay out of the record
+        meta = {"count": np.int64(3), "flag": np.bool_(True), "ratio": np.float32(0.5),
+                "listed": [1, 2], "array": np.zeros(2)}
+        monkeypatch.setattr(cli, "mutual_information",
+                            lambda rho: measures.MeasureResult("EI", 0.0, measures.EXACT, meta=meta))
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", product_file, "--measures", "EI", "--out", str(out)]) == 0
+        text = out.read_text()
+        [rec] = json.loads(text)["results"]
+        assert rec["count"] == 3 and type(rec["count"]) is int
+        assert rec["flag"] is True and '"flag": true' in text
+        assert rec["ratio"] == 0.5
+        assert "listed" not in rec and "array" not in rec
+
     def test_malformed_state_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

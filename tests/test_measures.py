@@ -33,7 +33,7 @@ from entbound.measures import (
     tensor_bipartite,
     verify_certificate,
 )
-from oracles import descend_weighted, modular_nuclearity_kron, vn_entropy_scalar
+from oracles import descend_sequential, descend_weighted, modular_nuclearity_kron, vn_entropy_scalar
 
 
 def faithful_2x2(seed):
@@ -179,7 +179,7 @@ class TestRelativeEntanglementUpper:
         p = np.outer(wa, wb).ravel()
         av, bv = np.repeat(va, 2, axis=1), np.tile(vb, 2)
         rho = product_state(ra, rb)
-        val, _, iters, stop = measures._descend(rho.matrix, 2, 2, p, av, bv, 1500)
+        [(val, _, iters, stop)] = measures._descend(rho.matrix, p[None], av[None], bv[None], 1500)
         assert (iters, stop) == (0, "zero") and val <= 1e-14
 
     @pytest.mark.parametrize("rho", [
@@ -192,10 +192,116 @@ class TestRelativeEntanglementUpper:
         # from the same starts as the weighted projected-gradient oracle; both
         # stop once a step gains less than 1e-10 relative, so that is the slack
         ref = min(descend_weighted(rho.matrix, rho.dimA, rho.dimB, p, av, bv, 1500)[0]
-                  for p, av, bv in measures._er_starts(rho, 2 * rho.dim, 3, 0))
+                  for p, av, bv in zip(*measures._er_starts(rho, 2 * rho.dim, 3, 0)))
         res = relative_entanglement_entropy_upper(rho, restarts=3, seed=0)
         verify_certificate(rho, res)
         assert res.value <= ref + 1e-10 * ref
+
+
+def _case(rho, restarts, max_iter=1500, rel_tol=1e-10, k=None):
+    starts = measures._er_starts(rho, 2 * rho.dim if k is None else k, restarts, 0)
+    return rho, starts, max_iter, rel_tol
+
+
+def _infeasible_first():
+    # phi+ against sigma = |00><00| leaves half of rho's weight off sigma's
+    # support, so the first start is infeasible; the second is a random start
+    rho, (p, av, bv), max_iter, rel_tol = _case(maximally_entangled(2), 2)
+    av[0], bv[0] = 0.0, 0.0
+    av[0, 0], bv[0, 0] = 1.0, 1.0
+    return rho, (p, av, bv), max_iter, rel_tol
+
+
+_MIXED_PRODUCT = product_state(random_density_matrix(2, seed=0).matrix,
+                               random_density_matrix(2, seed=1).matrix)
+
+# (state, stacked starts, max_iter, rel_tol)
+LOCKSTEP_CASES = {
+    "phi_plus_2": _case(maximally_entangled(2), 3),
+    "phi_plus_3": _case(maximally_entangled(3), 3),
+    "ginibre_2x2_r3": _case(random_density_matrix(2, 2, seed=0), 3),
+    "ginibre_2x2_r8": _case(random_density_matrix(2, 2, seed=0), 8),
+    "ginibre_2x3_r3": _case(random_density_matrix(2, 3, seed=1), 3),
+    "ginibre_2x3_r8": _case(random_density_matrix(2, 3, seed=1), 8),
+    "ginibre_3x3_r3": _case(random_density_matrix(3, 3, seed=0), 3),
+    "ginibre_3x3_r8": _case(random_density_matrix(3, 3, seed=0), 8),
+    # restarts stop at rounds 63 (zero), 474 (no_descent) and 1500 (max_iter)
+    "mixed_product_r8": _case(_MIXED_PRODUCT, 8),
+    # rounds 56 (rel_tol), 63 (zero) and 474 (no_descent); at the default
+    # rel_tol no restart on a product state stops on rel_tol, since its
+    # value reaches round-off first
+    "mixed_product_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=1e-5),
+    # the first restart's gain is below rel_tol by its 11th step, and it
+    # stops after its 12th, the earliest the stop test allows
+    "mixed_product_loose_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=1e-2),
+    "max_iter_5": _case(random_density_matrix(2, 2, seed=3), 3, max_iter=5),
+    "one_restart": _case(random_density_matrix(2, 3, seed=2), 1),
+    # sigma is rank two, so the off-support branch runs on feasible sigmas
+    "rank_deficient_sigma": _case(maximally_entangled(2), 1, k=2),
+    "infeasible_start": _infeasible_first(),
+}
+
+
+class TestLockstepDescent:
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_matches_the_sequential_oracle(self, name):
+        rho, starts, max_iter, rel_tol = LOCKSTEP_CASES[name]
+        given = [part.copy() for part in starts]
+        runs = measures._descend(rho.matrix, *starts, max_iter, rel_tol=rel_tol)
+        assert len(runs) == len(starts[0])
+        assert all(np.array_equal(a, b) for a, b in zip(given, starts))
+        for r, (p, av, bv) in enumerate(zip(*starts)):
+            want = descend_sequential(rho.matrix, rho.dimA, rho.dimB, p, av, bv, max_iter, rel_tol)
+            val, mix, iters, stop = runs[r]
+            assert type(val) is float and type(iters) is int and type(stop) is str
+            assert (iters, stop) == (want[2], want[3]), r
+            if math.isinf(want[0]):
+                assert math.isinf(val)
+            else:
+                assert abs(val - want[0]) <= 1e-13 * max(abs(want[0]), 1e-300), r
+                for got, ref in zip(mix, want[1]):
+                    assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    def test_the_cases_cover_every_stop_reason(self):
+        names = ("mixed_product_rel_tol", "max_iter_5")
+        stops = set()
+        for name in names:
+            rho, starts, max_iter, rel_tol = LOCKSTEP_CASES[name]
+            stops |= {run[3] for run in measures._descend(rho.matrix, *starts, max_iter, rel_tol=rel_tol)}
+        assert stops == {"rel_tol", "no_descent", "max_iter", "zero"}
+
+    def test_one_eigh_per_round(self, monkeypatch):
+        # lockstep: the stack costs as many eigh calls as its longest
+        # restart alone, not the sum over restarts
+        rho = random_density_matrix(2, 2, seed=0)
+        starts = measures._er_starts(rho, 2 * rho.dim, 3, 0)
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        single = []
+        for p, av, bv in zip(*starts):
+            calls[0] = 0
+            descend_sequential(rho.matrix, rho.dimA, rho.dimB, p, av, bv, 200)
+            single.append(calls[0])
+        calls[0] = 0
+        measures._descend(rho.matrix, *starts, 200)
+        assert len(set(single)) > 1
+        assert calls[0] == max(single) < sum(single)
+
+    def test_best_restart_and_meta(self):
+        rho = random_density_matrix(2, 2, seed=0)
+        runs = measures._descend(rho.matrix, *measures._er_starts(rho, 8, 3, 0), 1500)
+        res = relative_entanglement_entropy_upper(rho, restarts=3, seed=0)
+        best = min(range(3), key=lambda r: runs[r][0])
+        assert res.value == runs[best][0] and res.meta["stop"] == runs[best][3]
+        assert res.meta["iterations"] == sum(run[2] for run in runs)
+        assert type(res.meta["iterations"]) is int and type(res.meta["stagnated"]) is bool
+        assert np.array_equal(res.certificate.weights, runs[best][1][0])
 
 
 class TestDominatingSeparable:
