@@ -217,10 +217,10 @@ def cmd_dirac(args) -> int:
         try:
             spectrum = (
                 integrable_mod.transverse_circle_spectrum(args.circle_radius, eps, args.delta)
-                if args.circle_radius
-                else ()
+                if args.circle_radius is not None
+                else None
             )
-            row["value"] = integrable_mod.dirac_halfline_bound(args.m, eps, spectrum, args.delta)
+            row["value"] = integrable_mod.dirac_halfline_bound(args.m, eps, spectrum)
             row["log_ref"] = abs(math.log(2 * args.m * eps))
         except integrable_mod.IntegrableError as exc:
             row["error"] = str(exc)
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dirac", help="half-line corridor bound sweep")
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--eps", default="0.1,0.01,0.001")
-    p.add_argument("--circle-radius", type=float, default=0.0)
+    p.add_argument("--circle-radius", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dirac)

@@ -3,10 +3,12 @@ entanglement bound of integrable models, plus the half-line Dirac bound.
 
 The scattering function is a finite Blaschke-type product over poles on the
 imaginary rapidity axis, and its strip norm is the closed-form product of
-each factor's peak on the strip boundary.  The rapidity-space kernels T and
-A are evaluated by Gauss-Legendre Nystrom discretization; every T trace norm
+each factor's peak on the strip boundary.  The rapidity-space kernel T is
+evaluated by Gauss-Legendre Nystrom discretization; every T trace norm
 passes a mandatory grid-doubling convergence check, doubling from 24 nodes
-until two successive values agree.
+until two successive values agree.  On the symmetric grid the Nystrom
+matrix K satisfies J K J = conj(K), J the index reversal, so the real matrix
+Re K + J Im K, unitarily similar to K, is built and decomposed instead.
 """
 
 from __future__ import annotations
@@ -122,6 +124,10 @@ class KernelGrid:
     def __post_init__(self) -> None:
         if np.any(self.weights <= 0) or np.any(np.diff(self.nodes) <= 0):
             raise IntegrableError("grid must have positive weights and ascending nodes")
+        # the real form of t_kernel_matrix pairs node i with node n-1-i
+        if not (np.array_equal(self.nodes, -self.nodes[::-1])
+                and np.array_equal(self.weights, self.weights[::-1])):
+            raise IntegrableError("grid must have antisymmetric nodes and symmetric weights")
 
     @property
     def size(self) -> int:
@@ -157,15 +163,27 @@ def make_grid(s: float, n: int = 96, tail: float = 1e-14) -> KernelGrid:
 
 
 def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
-    """Weighted Nystrom matrix of the half-smeared Cauchy kernel."""
+    """Real Nystrom matrix with the singular values of the half-smeared Cauchy kernel.
+
+    The complex Nystrom matrix is K_ij = -sign(kappa) sw_i d_i sw_j /
+    (2 pi i (theta_j - theta_i + i kappa/2)), d_i = exp(-s cosh(theta_i)/2)
+    and sw_i the square-root weights.  On the symmetric grid theta_{n-1-i} =
+    -theta_i while sw and d are even, so J K J = conj(K) with J the index
+    reversal, and Q = (I + iJ)/sqrt(2) gives the real Q^* K Q = Re K + J Im K
+    (A. Lee, Linear Algebra Appl. 29, 205 (1980)).  With a = |kappa|/2 its
+    entries are sw_i d_i sw_j/(2 pi) * [a/(a^2 + (theta_j - theta_i)^2) +
+    sign(kappa) (theta_i + theta_j)/(a^2 + (theta_i + theta_j)^2)].
+    """
     if kappa == 0 or s <= 0:
         raise IntegrableError("need kappa != 0 and s > 0")
     th = grid.nodes
     sw = np.sqrt(grid.weights)
     damp = np.exp(-0.5 * s * np.cosh(th))
-    denom = th[None, :] - th[:, None] + 0.5j * kappa
-    kern = -np.sign(kappa) * damp[:, None] / (2.0j * math.pi * denom)
-    return sw[:, None] * kern * sw[None, :]
+    a = 0.5 * abs(kappa)
+    diff = th[None, :] - th[:, None]
+    total = th[None, :] + th[:, None]
+    kern = a / (a * a + diff**2) + np.sign(kappa) * total / (a * a + total**2)
+    return (sw * damp / (2.0 * math.pi))[:, None] * kern * sw[None, :]
 
 
 def t_kernel_trace_norm(kappa: float, s: float, nodes: int = 96, theta_max: float | None = None) -> float:
@@ -199,104 +217,6 @@ def t_kernel_trace_norm(kappa: float, s: float, nodes: int = 96, theta_max: floa
             "increase nodes or theta_max"
         )
     return val2
-
-
-@dataclass(frozen=True)
-class AKernel:
-    """Discretized positive kernel A = T_+ T_+^* + T_- T_-^*."""
-
-    kappa: float
-    s: float
-    grid: KernelGrid
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def a_kernel_value(kappa: float, s: float, theta: float, theta2: float) -> float:
-    return (
-        abs(kappa)
-        / math.pi
-        * math.exp(-0.5 * s * math.cosh(theta))
-        * math.exp(-0.5 * s * math.cosh(theta2))
-        / ((theta - theta2) ** 2 + kappa**2)
-    )
-
-
-def a_kernel(kappa: float, s: float, grid: KernelGrid | None = None) -> AKernel:
-    """Weighted Nystrom matrix of the positive smeared-Cauchy kernel."""
-    if kappa == 0 or s <= 0:
-        raise IntegrableError("need kappa != 0 and s > 0")
-    grid = make_grid(s) if grid is None else grid
-    th = grid.nodes
-    sw = np.sqrt(grid.weights)
-    damp = np.exp(-0.5 * s * np.cosh(th))
-    kern = (abs(kappa) / math.pi) * damp[:, None] * damp[None, :] / (
-        (th[:, None] - th[None, :]) ** 2 + kappa**2
-    )
-    return AKernel(kappa=kappa, s=s, grid=grid, matrix=sw[:, None] * kern * sw[None, :])
-
-
-def _elementary_symmetric(eigs: np.ndarray, n: int) -> float:
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for lam in eigs:
-        upper = min(n, len(e) - 1)
-        for k in range(upper, 0, -1):
-            e[k] += lam * e[k - 1]
-    return float(e[n])
-
-
-def wedge_trace(ak: AKernel, n: int) -> tuple[float, float]:
-    """Trace of the n-th antisymmetric power, computed two ways.
-
-    (i) the elementary symmetric polynomial of the Nystrom eigenvalues,
-    (ii) the n-fold quadrature of the determinant integral on an independent
-    trapezoid grid.  The two must agree within one percent.
-    """
-    if not 1 <= n <= 6:
-        raise IntegrableError("antisymmetric power capped at n = 6")
-    eigs = np.clip(ak.eigenvalues(), 0.0, None)
-    primary = _elementary_symmetric(eigs, n)
-
-    theta_max = ak.grid.theta_max
-    m = 201
-    th = np.linspace(-theta_max, theta_max, m)
-    h = th[1] - th[0]
-    if n <= 3:
-        a = np.array([[a_kernel_value(ak.kappa, ak.s, x, y) for y in th] for x in th])
-        if n == 1:
-            alt = h * float(np.trace(a))
-        elif n == 2:
-            alt = 0.5 * h**2 * float(np.trace(a) ** 2 - np.sum(a * a.T))
-        else:
-            t1 = h * float(np.trace(a))
-            t2 = h**2 * float(np.sum(a * a.T))
-            t3 = h**3 * float(np.trace(a @ a @ a))
-            alt = (t1**3 - 3.0 * t1 * t2 + 2.0 * t3) / 6.0
-    else:
-        # same determinant-integral identity evaluated on the trapezoid rule
-        a = np.array([[a_kernel_value(ak.kappa, ak.s, x, y) for y in th] for x in th])
-        wt = np.full(m, h)
-        wt[0] = wt[-1] = h / 2
-        sw = np.sqrt(wt)
-        eig_alt = np.clip(np.linalg.eigvalsh(sw[:, None] * a * sw[None, :]), 0.0, None)
-        alt = _elementary_symmetric(eig_alt, n)
-    scale = max(abs(primary), abs(alt), 1e-300)
-    if abs(primary - alt) > 0.05 * scale:
-        raise IntegrableError(
-            f"antisymmetric-trace methods disagree beyond 5%: {primary} vs {alt}"
-        )
-    return primary, alt
-
-
-def hadamard_bound_check(kappa: float, s: float, n: int, grid: KernelGrid | None = None):
-    """Compare the n-th antisymmetric trace against its Hadamard-type cap."""
-    ak = a_kernel(kappa, s, grid)
-    lhs, _ = wedge_trace(ak, n)
-    rhs = (1.0 / math.factorial(n)) * (2.0 * bessel_k0(s) / (kappa * math.pi)) ** n
-    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +291,8 @@ def transverse_circle_spectrum(radius: float, eps: float, delta: float, cut: flo
     where exp(-eps * lam / (1 + delta)) drops below ``cut``."""
     if radius <= 0 or eps <= 0:
         raise IntegrableError("radius and eps must be positive")
+    if 1.0 + delta <= 0:
+        raise IntegrableError("delta must be above -1")
     lam_max = (1.0 + delta) * math.log(1.0 / cut) / eps
     out = []
     j = 0
@@ -383,8 +305,7 @@ def transverse_circle_spectrum(radius: float, eps: float, delta: float, cut: flo
 def dirac_halfline_bound(
     m: float,
     eps: float,
-    transverse_spectrum=(),
-    delta: float = 0.1,
+    transverse_spectrum=None,
     nodes: int = 96,
     contribution_floor: float = 1e-14,
 ) -> float:
@@ -393,11 +314,13 @@ def dirac_halfline_bound(
     Each transverse mode contributes four times the trace norm of the
     kernel at kappa = pi and decay 2 * eps * sqrt(m^2 + lam^2); modes whose
     contribution falls below the floor are dropped (monotone decreasing).
+    ``transverse_spectrum`` None means no transverse circle (one mode of mass
+    m); an empty spectrum, every mode above the cutoff, sums to 0.
     ``nodes`` is each trace norm's pre-doubling grid size.
     """
     if m <= 0 or eps <= 0:
         raise IntegrableError("mass and corridor width must be positive")
-    masses = [m] if not len(transverse_spectrum) else [
+    masses = [m] if transverse_spectrum is None else [
         math.sqrt(m * m + lam * lam) for lam in transverse_spectrum
     ]
     total = 0.0

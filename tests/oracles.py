@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -209,6 +212,22 @@ def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0
             if 0.0 < x < 1.0:
                 best = max(best, float(table(x)))
     return best
+
+
+def t_kernel_matrix_complex(kappa: float, s: float, grid):
+    """Weighted Nystrom matrix of the half-smeared Cauchy kernel."""
+    import math
+
+    from entbound.integrable import IntegrableError
+
+    if kappa == 0 or s <= 0:
+        raise IntegrableError("need kappa != 0 and s > 0")
+    th = grid.nodes
+    sw = np.sqrt(grid.weights)
+    damp = np.exp(-0.5 * s * np.cosh(th))
+    denom = th[None, :] - th[:, None] + 0.5j * kappa
+    kern = -np.sign(kappa) * damp[:, None] / (2.0j * math.pi * denom)
+    return sw[:, None] * kern * sw[None, :]
 
 
 def t_kernel_trace_norm_fixed(kappa: float, s: float, grid=None) -> float:
@@ -576,3 +595,107 @@ def fidelity_lower_bound_check(rho, rho2):
     if not math.isfinite(h):
         return h, s, True
     return h, s, bool(h >= s - 1e-8)
+
+
+@dataclass(frozen=True)
+class AKernel:
+    """Discretized positive kernel A = T_+ T_+^* + T_- T_-^*."""
+
+    kappa: float
+    s: float
+    grid: object
+    matrix: np.ndarray
+
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+
+def a_kernel_value(kappa: float, s: float, theta: float, theta2: float) -> float:
+    return (
+        abs(kappa)
+        / math.pi
+        * math.exp(-0.5 * s * math.cosh(theta))
+        * math.exp(-0.5 * s * math.cosh(theta2))
+        / ((theta - theta2) ** 2 + kappa**2)
+    )
+
+
+def a_kernel(kappa: float, s: float, grid=None) -> AKernel:
+    """Weighted Nystrom matrix of the positive smeared-Cauchy kernel."""
+    from entbound.integrable import IntegrableError, make_grid
+
+    if kappa == 0 or s <= 0:
+        raise IntegrableError("need kappa != 0 and s > 0")
+    grid = make_grid(s) if grid is None else grid
+    th = grid.nodes
+    sw = np.sqrt(grid.weights)
+    damp = np.exp(-0.5 * s * np.cosh(th))
+    kern = (abs(kappa) / math.pi) * damp[:, None] * damp[None, :] / (
+        (th[:, None] - th[None, :]) ** 2 + kappa**2
+    )
+    return AKernel(kappa=kappa, s=s, grid=grid, matrix=sw[:, None] * kern * sw[None, :])
+
+
+def _elementary_symmetric(eigs: np.ndarray, n: int) -> float:
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for lam in eigs:
+        upper = min(n, len(e) - 1)
+        for k in range(upper, 0, -1):
+            e[k] += lam * e[k - 1]
+    return float(e[n])
+
+
+def wedge_trace(ak: AKernel, n: int) -> tuple[float, float]:
+    """Trace of the n-th antisymmetric power, computed two ways.
+
+    (i) the elementary symmetric polynomial of the Nystrom eigenvalues,
+    (ii) the n-fold quadrature of the determinant integral on an independent
+    trapezoid grid.  The two must agree within one percent.
+    """
+    from entbound.integrable import IntegrableError
+
+    if not 1 <= n <= 6:
+        raise IntegrableError("antisymmetric power capped at n = 6")
+    eigs = np.clip(ak.eigenvalues(), 0.0, None)
+    primary = _elementary_symmetric(eigs, n)
+
+    theta_max = ak.grid.theta_max
+    m = 201
+    th = np.linspace(-theta_max, theta_max, m)
+    h = th[1] - th[0]
+    if n <= 3:
+        a = np.array([[a_kernel_value(ak.kappa, ak.s, x, y) for y in th] for x in th])
+        if n == 1:
+            alt = h * float(np.trace(a))
+        elif n == 2:
+            alt = 0.5 * h**2 * float(np.trace(a) ** 2 - np.sum(a * a.T))
+        else:
+            t1 = h * float(np.trace(a))
+            t2 = h**2 * float(np.sum(a * a.T))
+            t3 = h**3 * float(np.trace(a @ a @ a))
+            alt = (t1**3 - 3.0 * t1 * t2 + 2.0 * t3) / 6.0
+    else:
+        # same determinant-integral identity evaluated on the trapezoid rule
+        a = np.array([[a_kernel_value(ak.kappa, ak.s, x, y) for y in th] for x in th])
+        wt = np.full(m, h)
+        wt[0] = wt[-1] = h / 2
+        sw = np.sqrt(wt)
+        eig_alt = np.clip(np.linalg.eigvalsh(sw[:, None] * a * sw[None, :]), 0.0, None)
+        alt = _elementary_symmetric(eig_alt, n)
+    scale = max(abs(primary), abs(alt), 1e-300)
+    if abs(primary - alt) > 0.05 * scale:
+        raise IntegrableError(
+            f"antisymmetric-trace methods disagree beyond 5%: {primary} vs {alt}"
+        )
+    return primary, alt
+
+
+def hadamard_bound_check(kappa: float, s: float, n: int, grid=None):
+    """Compare the n-th antisymmetric trace against its Hadamard-type cap."""
+    from entbound.integrable import bessel_k0
+
+    ak = a_kernel(kappa, s, grid)
+    lhs, _ = wedge_trace(ak, n)
+    rhs = (1.0 / math.factorial(n)) * (2.0 * bessel_k0(s) / (kappa * math.pi)) ** n
+    return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6))

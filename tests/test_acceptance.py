@@ -35,13 +35,10 @@ from entbound.cli import main as cli_main
 from entbound.gaussian import LatticeGeometry, decay_sweep, log_linear_fit
 from entbound.integrable import (
     bessel_k0,
-    hadamard_bound_check,
     sinh_gordon,
     transverse_circle_spectrum,
     dirac_halfline_bound,
     vacuum_bound,
-    a_kernel,
-    wedge_trace,
 )
 from entbound.linalg import (
     maximally_entangled,
@@ -72,7 +69,14 @@ from entbound.sectors import (
     minimal_model_dim,
     young_dim,
 )
-from oracles import bell_phi_plus_value, entropy_gap_check, fidelity_lower_bound_check
+from oracles import (
+    a_kernel,
+    bell_phi_plus_value,
+    entropy_gap_check,
+    fidelity_lower_bound_check,
+    hadamard_bound_check,
+    wedge_trace,
+)
 from scipy.integrate import quad
 
 

@@ -12,11 +12,8 @@ from entbound.cli import main as cli_main
 from entbound.integrable import (
     IntegrableError,
     SMatrix,
-    a_kernel,
-    a_kernel_value,
     bessel_k0,
     dirac_halfline_bound,
-    hadamard_bound_check,
     legendre_rule,
     make_grid,
     make_grid_for_theta,
@@ -26,9 +23,17 @@ from entbound.integrable import (
     t_kernel_trace_norm,
     transverse_circle_spectrum,
     vacuum_bound,
+)
+from oracles import (
+    _elementary_symmetric,
+    a_kernel,
+    a_kernel_value,
+    hadamard_bound_check,
+    strip_sup_norm_scalar,
+    t_kernel_matrix_complex,
+    t_kernel_trace_norm_fixed,
     wedge_trace,
 )
-from oracles import strip_sup_norm_scalar, t_kernel_trace_norm_fixed
 
 
 def k0_quadrature(x: float) -> float:
@@ -263,6 +268,57 @@ class TestAdaptiveTraceNorm:
             t_kernel_trace_norm(math.pi, 1e-4, 4)
 
 
+class TestRealNystromForm:
+    @pytest.mark.parametrize("n", [7, 24, 96, 192])
+    @pytest.mark.parametrize("kappa", [math.pi, math.pi / 2, -math.pi / 2, 0.3],
+                             ids=["pi", "pi/2", "-pi/2", "0.3"])
+    def test_matches_complex_matrix(self, kappa, n):
+        for s in np.geomspace(1e-4, 40, 20):
+            grid = make_grid(float(s), n)
+            real = integrable.t_kernel_matrix(kappa, float(s), grid)
+            assert real.dtype == np.float64
+            got = np.linalg.svd(real, compute_uv=False)
+            want = np.linalg.svd(t_kernel_matrix_complex(kappa, float(s), grid), compute_uv=False)
+            assert np.max(np.abs(got - want)) <= 1e-13 * want[0], s
+            assert abs(np.sum(got) - np.sum(want)) <= 1e-13 * np.sum(want), s
+
+    def test_every_svd_is_real_with_unchanged_sizes(self, monkeypatch):
+        seen = []
+        real = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            seen.append((a.dtype, a.shape))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        t_kernel_trace_norm(math.pi, 1e-3, 96)
+        assert [shape for _, shape in seen] == [(n, n) for n in (24, 48, 96, 192)]
+        assert all(dtype == np.float64 for dtype, _ in seen)
+
+
+class TestKernelGridSymmetry:
+    @pytest.mark.parametrize("theta_max", [1.0, 3.7, 5.123456789, 17.25])
+    def test_every_legendre_grid_passes(self, theta_max):
+        for n in list(range(1, 65)) + [96, 192, 384]:
+            grid = make_grid_for_theta(theta_max, n)
+            assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+
+    def test_skewed_grid_rejected(self):
+        x, w = np.polynomial.legendre.leggauss(24)
+        with pytest.raises(IntegrableError, match="antisymmetric"):
+            integrable.KernelGrid(nodes=3.0 * x + 0.1, weights=3.0 * w, theta_max=3.0)
+        with pytest.raises(IntegrableError, match="antisymmetric"):
+            integrable.KernelGrid(nodes=np.where(x > 0, 3.0 * x, 2.0 * x), weights=3.0 * w,
+                                  theta_max=3.0)
+
+    def test_asymmetric_weights_rejected(self):
+        x, w = np.polynomial.legendre.leggauss(24)
+        w = w.copy()
+        w[0] = np.nextafter(w[0], 1.0)
+        with pytest.raises(IntegrableError, match="symmetric weights"):
+            integrable.KernelGrid(nodes=x, weights=w, theta_max=1.0)
+
+
 class TestLegendreRule:
     @pytest.mark.parametrize("n", [96, 192, 7])
     def test_grid_is_scaled_leggauss_bytes(self, n):
@@ -356,8 +412,6 @@ class TestWedgeTrace:
         assert abs(primary - alt) <= 0.01 * abs(primary)
 
     def test_rank_one_second_power_vanishes(self):
-        from entbound.integrable import _elementary_symmetric
-
         v = np.array([1.0, 2.0, 0.5])
         eigs = np.linalg.eigvalsh(np.outer(v, v))
         assert abs(_elementary_symmetric(np.clip(eigs, 0, None), 2)) <= 1e-12
@@ -508,3 +562,41 @@ class TestDiracBound:
         assert all(l2 > l1 for l1, l2 in zip(spec, spec[1:]))
         lam_max = (1.1) * math.log(1e12) / 0.1
         assert spec[-1] <= lam_max
+
+    @staticmethod
+    def corridor_values(tmp_path, extra):
+        out = tmp_path / "dirac.csv"
+        assert cli_main(["dirac", "--m", "1", "--eps", "0.2", "--out", str(out)] + extra) in (0, 2)
+        with open(out, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_value_does_not_rise_as_the_circle_shrinks(self, tmp_path):
+        values = []
+        for radius in (1, 0.01, 0.004, 0.001):
+            spec = transverse_circle_spectrum(radius, 0.2, 0.1)
+            values.append(dirac_halfline_bound(1.0, 0.2, spec))
+            (row,) = self.corridor_values(tmp_path, ["--circle-radius", str(radius)])
+            assert float(row["value"]) == values[-1]
+        assert all(b <= a for a, b in zip(values, values[1:])), values
+        assert values[-1] == 0.0
+
+    def test_no_circle_is_none(self, tmp_path):
+        (row,) = self.corridor_values(tmp_path, [])
+        assert float(row["value"]) == dirac_halfline_bound(1.0, 0.2)
+        assert dirac_halfline_bound(1.0, 0.2) == dirac_halfline_bound(1.0, 0.2, None) > 1.0
+        assert dirac_halfline_bound(1.0, 0.2, []) == 0.0
+
+    def test_bound_takes_no_delta(self, tmp_path):
+        with pytest.raises(TypeError):
+            dirac_halfline_bound(1.0, 0.2, None, delta=0.1)
+        # --delta still sets the spectrum cutoff: the one mode at 125 needs 1 + delta >= 0.905
+        (kept,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "0.1"])
+        (cut,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "-0.2"])
+        assert float(kept["value"]) > 0.0 and float(cut["value"]) == 0.0
+
+    @pytest.mark.parametrize("delta", [-1.0, -1.5])
+    def test_circle_spectrum_rejects_delta_at_or_below_minus_one(self, delta, tmp_path):
+        with pytest.raises(IntegrableError, match="delta"):
+            transverse_circle_spectrum(1.0, 0.2, delta)
+        (row,) = self.corridor_values(tmp_path, ["--circle-radius", "1", "--delta", str(delta)])
+        assert row["value"] == "" and "delta" in row["error"]
