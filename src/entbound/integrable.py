@@ -249,7 +249,9 @@ def vacuum_bound(
     n-body map bound and c the square root of the strip norm; the reported
     entanglement bound is log nu, together with the closed-form asymptotic
     decay rate for comparison.  A geometric ratio at or above one raises the
-    divergence flag instead of producing a value.
+    divergence flag instead of producing a value.  If ``max_terms`` runs out
+    before a term falls below ``term_tol * nu``, the geometric tails past the
+    last term are added, so nu stays an upper bound.
     """
     if not 0.0 < delta < 1.0:
         raise IntegrableError("delta must be in (0, 1)")
@@ -279,6 +281,9 @@ def vacuum_bound(
         n_terms = n
         if term < term_tol * nu:
             break
+    else:
+        # each term is at most q^n + K (q c)^n, and q, q c < 1 here
+        nu += qn * q1 / (1.0 - q1) + kappa_factor * qcn * qc / (1.0 - qc)
     return VacuumBoundResult(True, nu, math.log(nu), asymptotic, n_terms, norm)
 
 

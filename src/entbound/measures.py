@@ -474,38 +474,26 @@ def modular_nuclearity_pure(schmidt_weights: np.ndarray) -> MeasureResult:
     return MeasureResult("EM", value, EXACT)
 
 
-def _span_projector(cols: np.ndarray, cut: float) -> np.ndarray:
-    q, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.sum(s > cut * max(float(s[0]), 1.0)))
-    q = q[:, :r]
-    return q @ q.conj().T
+def _modular_quarter_factors(m: np.ndarray, spectral_cut: float = 1e-13):
+    """Eigen-factors of Delta^{1/4} for a full matrix factor with Omega = m.
 
-
-def _modular_quarter(m: np.ndarray, spectral_cut: float = 1e-13) -> np.ndarray:
-    """Delta^{1/4} of the Tomita operator for a full matrix factor.
-
-    Omega is the matrix m, rows indexed by the factor and columns by its
-    commutant (vectors are m-shaped arrays flattened row-major).  A matrix
-    unit E_ij of the factor acts as E_ij m, placing row j of m at row i, and
-    one of the commutant as m E_ij^T, placing column j at column i, so every
-    orbit vector is an einsum over m and no operator on the doubled space is
-    formed.  The antilinear operator S x Omega = Q x* Omega is solved as a
-    linear map over the matrix-unit basis of the factor (minimal-norm
-    solution, so S is extended by zero off the cyclic subspace when Omega is
-    not cyclic) and polar-decomposed through Delta = S^dagger S.
+    Rows of m are indexed by the factor and columns by its commutant.  The
+    factor acts as x -> x m and the commutant as y -> m y^T, whose orbit has
+    the projector P (x) 1, P onto range(m).  The minimal-norm solve of
+    S x Omega = P x^dagger m is v -> X v^T m with X = P pinv(m^dagger), so
+    Delta = S^dagger S = (m m^dagger) (x) (X^T X^*).  Returns the eigenvectors
+    V, W of the two factors and F = (lam_i mu_j)^{1/4}, cut to 0 at or below
+    ``spectral_cut`` times the largest product: Delta^{1/4} xi is
+    V [F o (V^dagger xi W^*)] W^T.
     """
-    n_alg, n_com = m.shape
-    eye_a, eye_c = np.eye(n_alg), np.eye(n_com)
-    com_cols = np.einsum("ci,aj->acij", eye_c, m).reshape(m.size, n_com * n_com)
-    q = _span_projector(com_cols, config.current().rank_cut * 0.1)
-    u = np.einsum("ai,jc->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
-    w = q @ np.einsum("aj,ic->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
-    a = w @ np.linalg.pinv(u.conj(), rcond=1e-12)
-    delta = a.T @ a.conj()
-    delta = 0.5 * (delta + delta.conj().T)
-    wd, vd = np.linalg.eigh(delta)
-    wd = np.where(wd > spectral_cut * max(float(wd.max()), 1e-300), np.clip(wd, 0.0, None), 0.0)
-    return (vd * wd**0.25) @ vd.conj().T
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u = u[:, : int(np.sum(s > config.current().rank_cut * 0.1 * max(float(s[0]), 1.0)))]
+    x = u @ (u.conj().T @ np.linalg.pinv(m.conj().T, rcond=1e-12))
+    lam, v = np.linalg.eigh(m @ m.conj().T)
+    mu, w = np.linalg.eigh(x.T @ x.conj())
+    prod = np.outer(lam, mu)
+    prod = np.where(prod > spectral_cut * max(float(prod.max()), 1e-300), prod, 0.0)
+    return v, w, prod**0.25
 
 
 def _doubled_vector(rho: DensityMatrix) -> np.ndarray:
@@ -523,15 +511,16 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
     each side is the one of the full doubled factor containing that side's
     observable algebra, which can only enlarge the bound.  For each side,
     Omega is held as the (algebra x commutant) matrix, (A,A') x (B,B') for A
-    and its transpose for B, and matrix units act on it by moving rows, so no
-    operator on the doubled space is formed.  The certified functional-pair
+    and its transpose for B; matrix units act on it by moving rows, and
+    Delta is a Kronecker product of two factors of that matrix's sizes, so
+    no operator on the doubled space is formed.  The certified functional-pair
     decomposition it induces is exactly the matrix-unit decomposition of the
     state, so the logarithmic-dominance chain holds by construction.
     """
     if rho.dimB == 1:
         raise MeasureError("modular nuclearity needs a bipartite state")
-    if rho.dim > 16:
-        raise MeasureError("modular construction capped at total dimension 16")
+    if rho.dim > 64:
+        raise MeasureError("modular construction capped at total dimension 64")
     pure = np.linalg.eigvalsh(rho.matrix).max() > 1.0 - 1e-10
     if not (rho.is_faithful() or (pure and _full_schmidt_rank(rho))):
         raise MeasureError(
@@ -541,12 +530,14 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
     m_ab = _doubled_vector(rho).reshape(da * da, db * db)
     nus = {}
     for side, d, m in (("A", da, m_ab), ("B", db, m_ab.T)):
-        d14 = _modular_quarter(m)
+        v, w, f = _modular_quarter_factors(m)
         _, vr = eigh(partial_trace(rho, side).matrix)
-        # (vr_i vr_j^dagger (x) 1) Omega = vr_i (x) t_j, one column per (i, j)
-        t = np.einsum("yj,yzk->jzk", vr.conj(), m.reshape(d, d, -1))
-        cols = np.einsum("yi,jzk->yzkij", vr, t).reshape(m.size, d * d)
-        nus[side] = float(np.linalg.norm(d14 @ cols, axis=0).sum())
+        # (vr_i vr_j^dagger (x) 1) Omega = vr_i (x) t_j, one m-shaped vector per (i, j);
+        # V and W are unitary, so |Delta^{1/4} xi| = |F o (V^dagger xi W^*)|, and
+        # V^dagger (vr_i (x) t_j) W^* = g_i (t_j W^*) with g_i = V^dagger (vr_i (x) 1)
+        g = np.einsum("yi,yzx->ixz", vr, v.conj().reshape(d, d, -1))
+        tw = np.einsum("yj,yzk->jzk", vr.conj(), m.reshape(d, d, -1)) @ w.conj()
+        nus[side] = float(np.linalg.norm(f * (g[:, None] @ tw[None]), axis=(2, 3)).sum())
     value = float(np.log(min(nus["A"], nus["B"])))
     cert = matrix_unit_decomposition(rho)
     return MeasureResult(

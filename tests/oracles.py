@@ -254,6 +254,29 @@ def t_kernel_trace_norm_fixed(kappa: float, s: float, grid=None) -> float:
     return val2
 
 
+def _span_projector(cols, cut):
+    """Orthogonal projector onto the span of the columns kept by the rank cut."""
+    q, s, _ = np.linalg.svd(cols, full_matrices=False)
+    r = int(np.sum(s > cut * max(float(s[0]), 1.0)))
+    q = q[:, :r]
+    return q @ q.conj().T
+
+
+def vacuum_series_partial_sum(s_matrix, m, radius, kappa, delta, n_terms, chunk=1_000_000):
+    """1 + sum_{n=1}^{n_terms} max(q^n, K (q c)^n) of the vacuum bound, summed
+    in log space in numpy chunks; a lower bound on the full series."""
+    from entbound.integrable import bessel_k0, strip_sup_norm
+
+    c = math.sqrt(strip_sup_norm(s_matrix, kappa))
+    log_q = math.log(4.0 * math.e * c / (kappa * math.pi) * bessel_k0((1.0 - delta) * m * radius))
+    log_k = 0.5 * math.log(bessel_k0(m * radius * delta * math.sin(kappa)))
+    parts = [1.0]
+    for start in range(1, n_terms + 1, chunk):
+        n = np.arange(start, min(start + chunk, n_terms + 1), dtype=float)
+        parts.append(float(np.sum(np.exp(np.maximum(n * log_q, n * (log_q + math.log(c)) + log_k)))))
+    return math.fsum(parts)
+
+
 def modular_nuclearity_kron(rho):
     """(nu_A, nu_B) of the modular nuclearity bound from dense Kronecker operators.
 
@@ -268,12 +291,6 @@ def modular_nuclearity_kron(rho):
         m = np.zeros((d, d), dtype=complex)
         m[i, j] = 1.0
         return m
-
-    def _span_projector(cols, cut):
-        q, s, _ = np.linalg.svd(cols, full_matrices=False)
-        r = int(np.sum(s > cut * max(float(s[0]), 1.0)))
-        q = q[:, :r]
-        return q @ q.conj().T
 
     def _modular_quarter(omega, alg_dim, com_dim, alg_first, spectral_cut=1e-13):
         if alg_first:
@@ -321,6 +338,44 @@ def modular_nuclearity_kron(rho):
                 for i in range(db) for j in range(db)
             ]
         nus[side] = float(sum(np.linalg.norm(d14 @ (op @ omega)) for op in ops))
+    return nus["A"], nus["B"]
+
+
+def modular_nuclearity_omega_matrix(rho):
+    """(nu_A, nu_B) of the modular nuclearity bound with Delta^{1/4} formed densely.
+
+    Omega is held as the (algebra x commutant) matrix m and every orbit map
+    is built as an einsum over m, but the Tomita solve, Delta and its fourth
+    root are operators on the doubled space (d^4 x d^4): a span SVD of the
+    commutant orbit, a pinv of the algebra orbit and one eigh of Delta.
+    """
+    from entbound import config
+    from entbound.linalg import eigh, matrix_power_psd, partial_trace
+
+    def _modular_quarter(m, spectral_cut=1e-13):
+        n_alg, n_com = m.shape
+        eye_a, eye_c = np.eye(n_alg), np.eye(n_com)
+        com_cols = np.einsum("ci,aj->acij", eye_c, m).reshape(m.size, n_com * n_com)
+        q = _span_projector(com_cols, config.current().rank_cut * 0.1)
+        u = np.einsum("ai,jc->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
+        w = q @ np.einsum("aj,ic->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
+        a = w @ np.linalg.pinv(u.conj(), rcond=1e-12)
+        delta = a.T @ a.conj()
+        delta = 0.5 * (delta + delta.conj().T)
+        wd, vd = np.linalg.eigh(delta)
+        wd = np.where(wd > spectral_cut * max(float(wd.max()), 1e-300), np.clip(wd, 0.0, None), 0.0)
+        return (vd * wd**0.25) @ vd.conj().T
+
+    da, db = rho.dimA, rho.dimB
+    sq = matrix_power_psd(rho.matrix, 0.5)
+    m_ab = sq.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    nus = {}
+    for side, d, m in (("A", da, m_ab), ("B", db, m_ab.T)):
+        d14 = _modular_quarter(m)
+        _, vr = eigh(partial_trace(rho, side).matrix)
+        t = np.einsum("yj,yzk->jzk", vr.conj(), m.reshape(d, d, -1))
+        cols = np.einsum("yi,jzk->yzkij", vr, t).reshape(m.size, d * d)
+        nus[side] = float(np.linalg.norm(d14 @ cols, axis=0).sum())
     return nus["A"], nus["B"]
 
 

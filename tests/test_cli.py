@@ -67,6 +67,18 @@ class TestMeasuresCommand:
         assert report["ordering_audit"]["ok"]
         assert Path(str(out) + ".manifest.json").exists()
 
+    def test_modular_bound_on_a_5x5_state(self, tmp_path):
+        # total dimension 25: E_M runs past 16 and keeps EN <= EM
+        state = tmp_path / "faithful_5x5.json"
+        save_state(random_density_matrix(5, 5, rank=25, seed=0), state)
+        out = tmp_path / "report.json"
+        code = main(["measures", "--state", str(state), "--measures", "EI,EN,EM",
+                     "--out", str(out)])
+        assert code == 0
+        values = {r["measure"]: r["value"] for r in json.loads(out.read_text())["results"]}
+        assert math.isfinite(values["EM"])
+        assert values["EM"] >= values["EN"] - 1e-8
+
     def test_product_state_zeros(self, product_file, tmp_path):
         out = tmp_path / "report.json"
         code = main(["measures", "--state", product_file, "--measures", "EI,EN,EB",

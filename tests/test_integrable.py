@@ -32,6 +32,7 @@ from oracles import (
     strip_sup_norm_scalar,
     t_kernel_matrix_complex,
     t_kernel_trace_norm_fixed,
+    vacuum_series_partial_sum,
     wedge_trace,
 )
 
@@ -494,6 +495,18 @@ class TestVacuumBound:
         terms = [math.exp(max(n * log_q, n * (log_q + math.log(c)) + log_kf))
                  for n in range(1, 2000)]
         assert abs(res.nu - (1.0 + math.fsum(terms))) <= 1e-12 * res.nu
+
+    @pytest.mark.parametrize("mr", [5.9253, 5.92517])
+    def test_truncated_series_stays_an_upper_bound(self, mr):
+        # q c is within 2e-4 of 1 here, so max_terms runs out first; the 10^4-term
+        # partial sums are 7,511 and 13,184 against long sums of 10,123 and 172,892.
+        # The tail added is exact for the (q c)^n part, so the two agree up to
+        # the rounding of 10^4 running products (about 1e-12 relative).
+        s = SMatrix((0.4, 0.8, 1.2))
+        res = vacuum_bound(s, 1.0, mr, 0.3, 0.1)
+        assert res.converged and res.n_terms == 10_000
+        assert res.nu >= (1.0 - 1e-10) * vacuum_series_partial_sum(s, 1.0, mr, 0.3, 0.1, 3_000_000)
+        assert res.log_value == math.log(res.nu)
 
     @pytest.mark.parametrize("model", [
         ["--model", "sinh-gordon", "--g", "0.5", "--mR", "0.5..40..0.5"],

@@ -33,7 +33,13 @@ from entbound.measures import (
     tensor_bipartite,
     verify_certificate,
 )
-from oracles import descend_sequential, descend_weighted, modular_nuclearity_kron, vn_entropy_scalar
+from oracles import (
+    descend_sequential,
+    descend_weighted,
+    modular_nuclearity_kron,
+    modular_nuclearity_omega_matrix,
+    vn_entropy_scalar,
+)
 
 
 def faithful_2x2(seed):
@@ -433,10 +439,37 @@ class TestModularNuclearity:
         pytest.param(random_density_matrix(4, 4, rank=1, seed=5), id="pure-4x4"),
     ])
     def test_matches_kronecker_oracle(self, rho):
+        # against the dense Kronecker operators and against the d^4 x d^4
+        # Tomita solve on the Omega matrix
         res = modular_nuclearity_upper(rho)
-        nu_a, nu_b = modular_nuclearity_kron(rho)
-        assert abs(res.meta["nu_A"] - nu_a) <= 1e-8 * nu_a
-        assert abs(res.meta["nu_B"] - nu_b) <= 1e-8 * nu_b
+        for oracle in (modular_nuclearity_kron, modular_nuclearity_omega_matrix):
+            nu_a, nu_b = oracle(rho)
+            assert abs(res.meta["nu_A"] - nu_a) <= 1e-8 * nu_a, oracle.__name__
+            assert abs(res.meta["nu_B"] - nu_b) <= 1e-8 * nu_b, oracle.__name__
+
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dominates_log_dominance_past_dimension_16(self, d, seed):
+        rho = random_density_matrix(d, d, rank=d * d, seed=seed)
+        em = modular_nuclearity_upper(rho).value
+        en = log_dominance_upper(rho).value
+        assert em >= en - 1e-8
+
+    def test_phi_plus_8(self):
+        res = modular_nuclearity_upper(maximally_entangled(8))
+        assert abs(res.value - 1.5 * math.log(8)) <= 1e-8
+
+    def test_pure_full_schmidt_rank_8x8(self):
+        rho = random_density_matrix(8, 8, rank=1, seed=4)
+        weights = np.linalg.eigvalsh(partial_trace(rho, "A").matrix)
+        assert weights.min() > 1e-6
+        got = modular_nuclearity_upper(rho).value
+        assert abs(got - modular_nuclearity_pure(weights).value) <= 1e-8
+
+    def test_rejects_total_dimension_above_64(self):
+        rho = random_density_matrix(8, 9, rank=72, seed=0)
+        with pytest.raises(MeasureError, match="dimension 64"):
+            modular_nuclearity_upper(rho)
 
     def test_swap_exchanges_sides(self):
         # side B works on the transposed Omega matrix; swapping the parties
