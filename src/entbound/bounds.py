@@ -110,7 +110,8 @@ class GapFunctionTable:
     def build(cls, n: int = 400) -> "GapFunctionTable":
         left = np.geomspace(1e-6, 0.5, n // 2)
         right = 1.0 - np.geomspace(1e-6, 0.5, n // 2)[::-1]
-        grid = np.unique(np.concatenate([left, right]))
+        # both halves meet at exactly 0.5; np.unique would import numpy.ma
+        grid = np.concatenate([left, right[1:]])
         return cls(grid=grid, values=gap_s(grid))
 
     def __call__(self, x):
@@ -167,10 +168,10 @@ def mutual_info_correlator_bound(rho: DensityMatrix, trials: int = 64, seed: int
         for _ in range(4):
             mb = np.einsum("abcd,ca->bd", t, a) - float(np.trace(ra @ a).real) * rb
             mb = 0.5 * (mb + mb.conj().T)
-            b = _sign_observable(mb)
+            b = _sign_observable(mb)[0]
             ma = np.einsum("abcd,db->ac", t, b) - float(np.trace(rb @ b).real) * ra
             ma = 0.5 * (ma + ma.conj().T)
-            a = _sign_observable(ma)
+            a = _sign_observable(ma)[0]
         best = max(best, abs(_connected_correlator(rho, a, b)))
     x = 0.5 * best
     value = gap_s(x) if 0.0 < x < 1.0 else 0.0

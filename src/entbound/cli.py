@@ -172,7 +172,7 @@ def cmd_gaussian(args) -> int:
 
     def one(gap):
         try:
-            row = gaussian_mod.decay_row(state, region_a, gap, args.trials, args.seed)
+            row = gaussian_mod.decay_row(state, region_a, gap, args.trials)
         except ValueError as exc:
             return {"gap_sites": gap, "r": gap * geom.spacing, "error": str(exc)}
         return dict(zip(header, row), error="")
@@ -372,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=["dirichlet", "periodic"], default="dirichlet")
     p.add_argument("--regionA", dest="region_a", default="8..15")
     p.add_argument("--gap", default="8..24..2")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=0,
+                   help="N > 0 adds the Weyl-correlator lower bound (closed form: every N gives "
+                        "the same value)")
+    p.add_argument("--seed", type=int, default=0, help="accepted for old command lines; no effect")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gaussian)
 

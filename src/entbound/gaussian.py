@@ -2,12 +2,13 @@
 
 The ground state is determined by the capacity operator C = (-lap + m^2)^-1
 on the chain; entanglement between two disjoint site sets is bounded above
-through the fractional-power region projectors and below by sampling Weyl
-correlators against the gap function.
+and below (the latter by a Weyl correlator and the gap function) through the
+principal angles between the regions' one-particle subspaces.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,8 +93,8 @@ def build_state(geom: LatticeGeometry) -> LatticeGaussianState:
 
 
 def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projectors Q_+ and Q_- onto the C^{-1/4} / C^{+1/4} spans
-    of the region's site columns."""
+    """Orthonormal bases U_+ and U_- (n x rank) of the C^{-1/4} / C^{+1/4}
+    spans of the region's site columns; the projectors are U U^T."""
     idx = sorted(set(int(i) for i in indices))
     if not idx:
         raise GaussianError("region must be nonempty")
@@ -107,29 +108,43 @@ def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray,
                 f"region columns are numerically dependent: rank {rank} < {len(idx)}",
                 stacklevel=2,
             )
-        q = q[:, :rank]
-        out.append(q @ q.T)
-    return out[0], out[1]  # (Q_+, Q_-): plus-sector uses C^{-1/4}
+        out.append(q[:, :rank])
+    return out[0], out[1]  # (U_+, U_-): plus-sector uses C^{-1/4}
 
 
-def kg_upper_bound(state: LatticeGaussianState, regions: RegionSpec) -> float:
-    """Entanglement upper bound from the two cross-sector obliquity operators.
+def principal_cosines(state: LatticeGaussianState, regions: RegionSpec) -> tuple[list[np.ndarray], bool]:
+    """Cosines of the principal angles between the A and B one-particle
+    subspaces, one array per sector, and whether no basis was truncated.
 
-    For each sign pairing the singular values s_k of (1 - Q_{B'-/+}) Q_{A+/-}
-    contribute -4 log(1 - sqrt(s_k)); all must stay below one, which fails
-    only when the regions are too close for the lattice to resolve.
+    Sector +/- takes the singular values of (1 - U_{B'-/+} U_{B'-/+}^T)
+    U_{A+/-}, B' the complement of B (Bjorck & Golub, Math. Comp. 27, 579
+    (1973)).  C^{-1/4} e_b is orthogonal to C^{1/4} e_{b'} for b != b', so
+    span(C^{1/4} e_{B'})^perp = span(C^{-1/4} e_B) and the same singular
+    values are the cosines between span(C^{-1/4} e_A) and span(C^{-1/4}
+    e_B) (and likewise with the powers swapped); the identity is exact only
+    while B's bases keep their full rank.
     """
     n = state.geometry.sites
     bprime = sorted(set(range(n)) - set(regions.indices_b))
-    qa_plus, qa_minus = region_projectors(state, regions.indices_a)
-    qb_plus, qb_minus = region_projectors(state, bprime)
+    ua = region_projectors(state, regions.indices_a)
+    ub = region_projectors(state, bprime)
+    full = all(u.shape[1] == len(regions.indices_a) for u in ua) and all(
+        u.shape[1] == len(bprime) for u in ub)
+    cosines = [np.linalg.svd(x - y @ (y.T @ x), compute_uv=False)
+               for x, y in ((ua[0], ub[1]), (ua[1], ub[0]))]
+    return cosines, full
+
+
+def kg_upper_bound(state: LatticeGaussianState, regions: RegionSpec) -> float:
+    """Entanglement upper bound -4 sum_k log(1 - sqrt(c_k)) over the
+    principal cosines c_k of both sectors; all must stay below one, which
+    fails only when the regions are too close for the lattice to resolve.
+    """
     total = 0.0
-    for qa, qb in ((qa_plus, qb_minus), (qa_minus, qb_plus)):
-        x = (np.eye(n) - qb) @ qa
-        s = np.linalg.svd(x, compute_uv=False)
-        if s.size and s[0] >= 1.0 - 1e-9:
+    for c in principal_cosines(state, regions)[0]:
+        if c.size and c[0] >= 1.0 - 1e-9:
             raise GaussianError("regions too close for lattice resolution (overlap saturates)")
-        total += -4.0 * float(np.sum(np.log1p(-np.sqrt(np.clip(s, 0.0, None)))))
+        total += -4.0 * float(np.sum(np.log1p(-np.sqrt(c))))
     return total
 
 
@@ -170,84 +185,25 @@ def weyl_two_point(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) ->
     )
 
 
-def _region_qr(state: LatticeGaussianState, idx: np.ndarray):
-    """QR factors of the q- and p-column blocks of the region data map.
+def correlator_lower_bound(state: LatticeGaussianState, regions: RegionSpec) -> float:
+    """Weyl-correlator lower bound s(x*) on the mutual information.
 
-    Region data (q, p) maps to the stacked one-particle vector (Re kappa;
-    Im kappa) through [[0, C^{1/4}[:, idx]], [-C^{-1/4}[:, idx], 0]], so the
-    map's QR is the two n x m QRs of -C^{-1/4}[:, idx] and C^{1/4}[:, idx].
+    Take the principal pair (f, g) of region data at the largest principal
+    cosine c of the two sectors, both scaled to covariance u.  Data on
+    disjoint regions has zero symplectic form, so the Weyl operators W(f)
+    and W(-g) have half connected correlator (1/2)(e^{-u(1-c)} - e^{-u}),
+    which beats the pair (f, g) at every u (e^x - 1 >= 1 - e^{-x}) and peaks
+    at u* = -log1p(-c)/c with x* = (c/2)(1 - c)^{(1-c)/c}.  x* rises with c
+    and s with x, so no other pair or amplitude does better.  If a basis was
+    truncated the cosines may overshoot, and a cosine within n ulps of zero
+    is round-off; both give 0, which is always a lower bound.
     """
-    qq, rq = np.linalg.qr(-state.c_power(-0.25)[:, idx])
-    qp, rp = np.linalg.qr(state.c_power(0.25)[:, idx])
-    return (qq, qp), (rq, rp)
-
-
-def principal_candidates(state: LatticeGaussianState, regions: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Data pairs aligned with the top principal angles between the two
-    regions' one-particle subspaces (the strongest available correlators).
-
-    The two leading principal vectors give two pairs, returned as
-    coefficient columns in region coordinates (q on the region's sites, then
-    p): a 2|A| x 2 array for region A and a 2|B| x 2 array for region B,
-    column k of each forming one pair.  Rotating A's subspace by J adds no
-    pair: its Gram matrix with B's is the symplectic form, zero for disjoint
-    regions.
-    """
-    (qqa, qpa), ra = _region_qr(state, np.array(regions.indices_a))
-    (qqb, qpb), rb = _region_qr(state, np.array(regions.indices_b))
-    ma, mb = qqa.shape[1], qqb.shape[1]
-    gram = np.zeros((2 * ma, 2 * mb))
-    gram[:ma, :mb] = qqa.T @ qqb
-    gram[ma:, mb:] = qpa.T @ qpb
-    u, _, vh = np.linalg.svd(gram, full_matrices=False)
-    ua, vb = u[:, :2], vh[:2, :].T
-
-    def solve(r, rhs):  # minimum-norm, so a rank-deficient region does not raise
-        return np.vstack([np.linalg.lstsq(rk, hk, rcond=None)[0] for rk, hk in zip(r, np.split(rhs, 2))])
-
-    return solve(ra, ua), solve(rb, vb)
-
-
-def correlator_lower_bound(
-    state: LatticeGaussianState,
-    regions: RegionSpec,
-    trials: int = 256,
-    seed: int = 0,
-) -> float:
-    """Sampled Weyl-correlator lower bound on the mutual information.
-
-    Gaussian random initial data restricted to each region, plus the
-    principal-angle pairs of the two one-particle subspaces; each candidate
-    pair (f, g) is tried over a small amplitude grid and the connected
-    correlator of the unit-norm Weyl operators feeds the gap function.
-
-    With f and g scaled to covariance t^2 the connected correlator has the
-    closed form e^{-u} (e^{-u z} - 1), u = t^2, z = c + i sigma / 2, where c
-    and sigma are the covariance and symplectic forms of the unit-covariance
-    pair.  Data supported on disjoint regions has sigma = 0, so z is the
-    real cosine c, read off the inner product of the one-particle vectors.
-    """
-    n, a = state.geometry.sites, state.geometry.spacing
-    ia, ib = np.array(regions.indices_a), np.array(regions.indices_b)
-    rows_a, rows_b = np.r_[ia, ia + n], np.r_[ib, ib + n]
-    coef_a, coef_b = principal_candidates(state, regions)
-    # one draw holds every trial's (q_A, p_A, q_B, p_B) in sequence
-    draws = np.random.default_rng(seed).standard_normal((trials, rows_a.size + rows_b.size))
-    f = np.zeros((2 * n, coef_a.shape[1] + trials))
-    g = np.zeros_like(f)
-    f[rows_a] = np.hstack([coef_a, draws[:, : rows_a.size].T])
-    g[rows_b] = np.hstack([coef_b, draws[:, rows_a.size :].T])
-    kf, kg = _kappa_map(state, f), _kappa_map(state, g)
-    # (a/2) <kappa f, kappa g> = c(f, g) + i sigma(f, g) / 2, column by column,
-    # and sigma(f, g) = 0 because f and g live on disjoint regions
-    cf = 0.5 * a * np.sum(np.abs(kf) ** 2, axis=0)
-    cg = 0.5 * a * np.sum(np.abs(kg) ** 2, axis=0)
-    z = 0.5 * a * np.sum(kf.conj() * kg, axis=0).real / np.sqrt(
-        np.maximum(cf, 1e-300) * np.maximum(cg, 1e-300))
-    u = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])[:, None] ** 2
-    x = 0.5 * np.abs(np.exp(-u) * np.expm1(-u * z))
-    x = x[(x > 0.0) & (x < 1.0)]
-    return float(np.max(gap_table()(x))) if x.size else 0.0
+    cosines, full = principal_cosines(state, regions)
+    c = max(float(cs[0]) if cs.size else 0.0 for cs in cosines)
+    if not full or not state.geometry.sites * np.finfo(float).eps < c < 1.0:
+        return 0.0
+    x = 0.5 * c * math.exp((1.0 - c) / c * math.log1p(-c))
+    return float(gap_table()(x))
 
 
 def decay_row(
@@ -255,17 +211,17 @@ def decay_row(
     region_a: tuple[int, ...],
     gap: int,
     trials: int = 0,
-    seed: int = 0,
 ) -> tuple[int, float, float, float]:
     """(gap_sites, separation r, upper_bound, lower_bound) at one A-B gap.
 
     B is everything beyond the gap to the right of A; the lower bound is 0
-    unless ``trials`` asks for sampled Weyl correlators.
+    unless ``trials`` > 0 switches the Weyl-correlator bound on.  Its value
+    does not depend on ``trials``.
     """
     start_b = max(region_a) + 1 + int(gap)
     regions = RegionSpec(tuple(region_a), tuple(range(start_b, state.geometry.sites)))
     upper = kg_upper_bound(state, regions)
-    lower = correlator_lower_bound(state, regions, trials=trials, seed=seed) if trials else 0.0
+    lower = correlator_lower_bound(state, regions) if trials > 0 else 0.0
     return int(gap), gap * state.geometry.spacing, upper, lower
 
 
@@ -274,7 +230,6 @@ def decay_sweep(
     region_a: tuple[int, ...],
     gaps,
     trials: int = 0,
-    seed: int = 0,
 ):
     """Upper (and optional lower) bounds versus the A-B gap in sites.
 
@@ -286,7 +241,7 @@ def decay_sweep(
     for gap in gaps:
         if max(region_a) + 1 + int(gap) >= geom.sites - 1:
             raise GaussianError(f"gap {gap} leaves no room for region B")
-        rows.append(decay_row(state, region_a, gap, trials, seed))
+        rows.append(decay_row(state, region_a, gap, trials))
     return rows
 
 

@@ -249,9 +249,11 @@ def vacuum_bound(
     n-body map bound and c the square root of the strip norm; the reported
     entanglement bound is log nu, together with the closed-form asymptotic
     decay rate for comparison.  A geometric ratio at or above one raises the
-    divergence flag instead of producing a value.  If ``max_terms`` runs out
-    before a term falls below ``term_tol * nu``, the geometric tails past the
-    last term are added, so nu stays an upper bound.
+    divergence flag instead of producing a value.  Summation stops once a
+    term falls below ``term_tol * nu`` or ``max_terms`` runs out; either way
+    the geometric tails past the last term are added, and nu is raised by
+    2 (n + 2) units of round-off for the n running products and the running
+    sum, so it stays an upper bound on the series.
     """
     if not 0.0 < delta < 1.0:
         raise IntegrableError("delta must be in (0, 1)")
@@ -281,9 +283,10 @@ def vacuum_bound(
         n_terms = n
         if term < term_tol * nu:
             break
-    else:
-        # each term is at most q^n + K (q c)^n, and q, q c < 1 here
-        nu += qn * q1 / (1.0 - q1) + kappa_factor * qcn * qc / (1.0 - qc)
+    # each later term is at most q^n + K (q c)^n, and q, q c < 1 here
+    nu += qn * q1 / (1.0 - q1) + kappa_factor * qcn * qc / (1.0 - qc)
+    # (n_terms + 2) * 2^-52 is a multiple of ulp(1), so the factor is exact
+    nu *= 1.0 + 2.0 * (n_terms + 2) * 2.0**-53
     return VacuumBoundResult(True, nu, math.log(nu), asymptotic, n_terms, norm)
 
 

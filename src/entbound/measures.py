@@ -567,10 +567,11 @@ def _conditional_operator(rho: DensityMatrix, op: np.ndarray, on_b: bool) -> np.
     return 0.5 * (m + m.conj().T)
 
 
-def _sign_observable(m: np.ndarray) -> np.ndarray:
+def _sign_observable(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """sign(m), ties toward +1, and Tr[m sign(m)] = sum |lambda(m)|."""
     w, v = np.linalg.eigh(m)
-    s = np.where(w >= 0.0, 1.0, -1.0)  # ties toward +1
-    return (v * s) @ v.conj().T
+    s = np.where(w >= 0.0, 1.0, -1.0)
+    return (v * s) @ v.conj().T, float(np.sum(np.abs(w)))
 
 
 def bell_functional(rho: DensityMatrix, a1, a2, b1, b2) -> float:
@@ -589,7 +590,10 @@ def bell_correlation(
 
     Each half-step replaces one party's observables by the sign of the
     conditional operator, which is the exact optimum for dichotomic
-    observables; alternation stops when the value is stationary.
+    observables; alternation stops when the value is stationary.  After the
+    B half-step the value is Tr[M_1 b_1] + Tr[M_2 b_2] with b_k = sign(M_k),
+    so it is the sum of |eigenvalues| of the two B-side conditional
+    operators, and ``bell_functional`` is only needed to re-check it.
 
     The sqrt(2) ceiling checked on the result is Tsirelson's bound, which
     holds in every local dimension.  The maximally entangled state phi+_n
@@ -613,11 +617,11 @@ def bell_correlation(
         val = -np.inf
         for it in range(seesaw_iters):
             total_iters += 1
-            a1 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 + b2), on_b=True))
-            a2 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 - b2), on_b=True))
-            b1 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 + a2), on_b=False))
-            b2 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 - a2), on_b=False))
-            new = bell_functional(rho, a1, a2, b1, b2)
+            a1 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 + b2), on_b=True))[0]
+            a2 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 - b2), on_b=True))[0]
+            b1, norm1 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 + a2), on_b=False))
+            b2, norm2 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 - a2), on_b=False))
+            new = norm1 + norm2
             if new - val < 1e-10:
                 val = max(val, new)
                 break

@@ -92,6 +92,40 @@ def bell_phi_plus_value(n: int) -> float:
     return (2.0 * math.sqrt(2.0) * (n // 2) + n % 2) / n
 
 
+def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8, seed: int = 0):
+    """The Bell seesaw with every round's value re-evaluated by
+    ``measures.bell_functional`` (a d^2 x d^2 Kronecker product and matrix
+    product per round); returns (value, total iterations)."""
+    from entbound.measures import (
+        _conditional_operator,
+        _random_dichotomic,
+        _sign_observable,
+        bell_functional,
+    )
+
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    total_iters = 0
+    for _ in range(restarts):
+        b1 = _random_dichotomic(rho.dimB, rng)
+        b2 = _random_dichotomic(rho.dimB, rng)
+        a1 = a2 = np.eye(rho.dimA, dtype=complex)
+        val = -np.inf
+        for _ in range(seesaw_iters):
+            total_iters += 1
+            a1 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 + b2), on_b=True))[0]
+            a2 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 - b2), on_b=True))[0]
+            b1 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 + a2), on_b=False))[0]
+            b2 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 - a2), on_b=False))[0]
+            new = bell_functional(rho, a1, a2, b1, b2)
+            if new - val < 1e-10:
+                val = max(val, new)
+                break
+            val = new
+        best = max(best, val)
+    return float(best), total_iters
+
+
 def strip_sup_norm_scalar(s, kappa: float) -> float:
     """Supremum of |S_2| on the strip, scanned one grid point at a time.
 
@@ -147,6 +181,71 @@ def region_data_map(state, indices) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def kg_upper_bound_projectors(state, regions) -> float:
+    """Upper bound -4 sum log(1 - sqrt(s_k)) from n x n projectors.
+
+    For each sign pairing, s_k are all n singular values of (1 - Q_{B'-/+})
+    Q_{A+/-}, with Q = U U^T from ``gaussian.region_projectors`` and B' the
+    complement of B; round-off singular values are summed too.
+    """
+    from entbound.gaussian import GaussianError, region_projectors
+
+    n = state.geometry.sites
+    bprime = sorted(set(range(n)) - set(regions.indices_b))
+    qa_plus, qa_minus = (u @ u.T for u in region_projectors(state, regions.indices_a))
+    qb_plus, qb_minus = (u @ u.T for u in region_projectors(state, bprime))
+    total = 0.0
+    for qa, qb in ((qa_plus, qb_minus), (qa_minus, qb_plus)):
+        s = np.linalg.svd((np.eye(n) - qb) @ qa, compute_uv=False)
+        if s.size and s[0] >= 1.0 - 1e-9:
+            raise GaussianError("regions too close for lattice resolution (overlap saturates)")
+        total += -4.0 * float(np.sum(np.log1p(-np.sqrt(np.clip(s, 0.0, None)))))
+    return total
+
+
+def _region_qr(state, idx: np.ndarray):
+    """QR factors of the q- and p-column blocks of the region data map.
+
+    Region data (q, p) maps to the stacked one-particle vector (Re kappa;
+    Im kappa) through [[0, C^{1/4}[:, idx]], [-C^{-1/4}[:, idx], 0]], so the
+    map's QR is the two n x m QRs of -C^{-1/4}[:, idx] and C^{1/4}[:, idx].
+    """
+    qq, rq = np.linalg.qr(-state.c_power(-0.25)[:, idx])
+    qp, rp = np.linalg.qr(state.c_power(0.25)[:, idx])
+    return (qq, qp), (rq, rp)
+
+
+def principal_gram(state, regions):
+    """Plain Gram matrix blockdiag(Qq_A^T Qq_B, Qp_A^T Qp_B) between the two
+    regions' one-particle subspaces, with both regions' R factors.  Its
+    singular values are the principal cosines of both sectors."""
+    (qqa, qpa), ra = _region_qr(state, np.array(regions.indices_a))
+    (qqb, qpb), rb = _region_qr(state, np.array(regions.indices_b))
+    ma, mb = qqa.shape[1], qqb.shape[1]
+    gram = np.zeros((2 * ma, 2 * mb))
+    gram[:ma, :mb] = qqa.T @ qqb
+    gram[ma:, mb:] = qpa.T @ qpb
+    return gram, ra, rb
+
+
+def principal_candidates(state, regions) -> tuple[np.ndarray, np.ndarray]:
+    """Data pairs aligned with the two top principal angles, from the Gram
+    matrix of ``principal_gram`` and one stacked SVD.
+
+    Returned as coefficient columns in region coordinates (q on the region's
+    sites, then p): a 2|A| x 2 array for region A and a 2|B| x 2 array for
+    region B, column k of each forming one pair.
+    """
+    gram, ra, rb = principal_gram(state, regions)
+    u, _, vh = np.linalg.svd(gram, full_matrices=False)
+    ua, vb = u[:, :2], vh[:2, :].T
+
+    def solve(r, rhs):  # minimum-norm, so a rank-deficient region does not raise
+        return np.vstack([np.linalg.lstsq(rk, hk, rcond=None)[0] for rk, hk in zip(r, np.split(rhs, 2))])
+
+    return solve(ra, ua), solve(rb, vb)
+
+
 def principal_candidates_loop(state, regions) -> list:
     """Principal-angle data pairs (f, g) as full 2n initial-data vectors.
 
@@ -179,10 +278,11 @@ def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0
     """Weyl-correlator lower bound evaluated one candidate and one amplitude
     at a time.
 
-    The same candidates as ``gaussian.correlator_lower_bound``: the pairs of
-    ``principal_candidates_loop``, then random trials drawn one region block
-    at a time.  Each connected correlator is formed from ``weyl_two_point``
-    and ``weyl_expectation`` and fed to the gap table as a scalar.
+    The pairs of ``principal_candidates_loop``, then random trials drawn one
+    region block at a time, each tried as (f, g) over a six-amplitude grid.
+    Each connected correlator is formed from ``weyl_two_point`` and
+    ``weyl_expectation`` and fed to the gap table as a scalar.  Every value
+    is a valid lower bound; ``gaussian.correlator_lower_bound`` dominates it.
     """
     import math
 
@@ -275,6 +375,28 @@ def vacuum_series_partial_sum(s_matrix, m, radius, kappa, delta, n_terms, chunk=
         n = np.arange(start, min(start + chunk, n_terms + 1), dtype=float)
         parts.append(float(np.sum(np.exp(np.maximum(n * log_q, n * (log_q + math.log(c)) + log_k)))))
     return math.fsum(parts)
+
+
+def vacuum_series_exact(s_matrix, m, radius, kappa, delta, dps: int = 40):
+    """1 + sum_{n>=1} max(q^n, K r^n) in closed form at ``dps`` digits, for the
+    float ratios q and r = fl(q c) and the factor K that
+    ``integrable.vacuum_bound`` forms (the same expressions, so the same
+    floats).  r >= q, so the K term wins from one index n0 on and the series
+    is two geometric sums.  Returns (value, r)."""
+    import mpmath
+
+    from entbound.integrable import bessel_k0, strip_sup_norm
+
+    c = math.sqrt(strip_sup_norm(s_matrix, kappa))
+    mr = m * radius
+    q1 = (4.0 * math.e * c / (kappa * math.pi)) * bessel_k0((1.0 - delta) * mr)
+    kf = math.sqrt(bessel_k0(mr * delta * math.sin(kappa)))
+    qc = q1 * c
+    with mpmath.workdps(dps):
+        q, r, k = mpmath.mpf(q1), mpmath.mpf(qc), mpmath.mpf(kf)
+        n0 = 1 if k >= 1 or r == q else max(1, int(mpmath.ceil(-mpmath.log(k) / mpmath.log(r / q))))
+        value = 1 + q * (1 - q ** (n0 - 1)) / (1 - q) + k * r**n0 / (1 - r)
+        return value, qc
 
 
 def modular_nuclearity_kron(rho):

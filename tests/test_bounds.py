@@ -5,6 +5,7 @@ import pytest
 
 from entbound.bounds import (
     BoundsError,
+    GapFunctionTable,
     PackingConfig,
     area_law_lower,
     gap_s,
@@ -94,6 +95,13 @@ class TestGapFunction:
         table = gap_table()
         for x in (0.01, 0.2, 0.5, 0.9, 0.99):
             assert abs(table(x) - gap_s(x)) <= 2e-4 * max(gap_s(x), 1e-3)
+
+    def test_table_grid_is_strictly_increasing(self):
+        grid = GapFunctionTable.build().grid
+        left = np.geomspace(1e-6, 0.5, 200)
+        right = 1.0 - np.geomspace(1e-6, 0.5, 200)[::-1]
+        assert grid.size == 399 and np.all(np.diff(grid) > 0.0)
+        assert np.array_equal(grid, np.unique(np.concatenate([left, right])))
 
     def test_table_is_lower_envelope(self):
         table = gap_table()

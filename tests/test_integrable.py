@@ -32,6 +32,7 @@ from oracles import (
     strip_sup_norm_scalar,
     t_kernel_matrix_complex,
     t_kernel_trace_norm_fixed,
+    vacuum_series_exact,
     vacuum_series_partial_sum,
     wedge_trace,
 )
@@ -496,16 +497,37 @@ class TestVacuumBound:
                  for n in range(1, 2000)]
         assert abs(res.nu - (1.0 + math.fsum(terms))) <= 1e-12 * res.nu
 
-    @pytest.mark.parametrize("mr", [5.9253, 5.92517])
-    def test_truncated_series_stays_an_upper_bound(self, mr):
-        # q c is within 2e-4 of 1 here, so max_terms runs out first; the 10^4-term
-        # partial sums are 7,511 and 13,184 against long sums of 10,123 and 172,892.
-        # The tail added is exact for the (q c)^n part, so the two agree up to
-        # the rounding of 10^4 running products (about 1e-12 relative).
+    @pytest.mark.parametrize("mr", [5.9253, 5.92517, 6.0, 8.0])
+    def test_series_bound_has_rounding_slack(self, mr):
+        # q c is within 2e-4 of 1 at the first two points, so max_terms runs out
+        # first; the 10^4-term partial sums are 7,511 and 13,184 against
+        # series of 10,123 and 172,892.  The last two stop at term_tol.  The
+        # closed form evaluates the same float ratios at 40 digits, so the
+        # bound must be at or above it with no slack, and at most its own
+        # 2 (n + 2)-ulp raise above the rounding of the sum it raises.
         s = SMatrix((0.4, 0.8, 1.2))
         res = vacuum_bound(s, 1.0, mr, 0.3, 0.1)
+        exact, _ = vacuum_series_exact(s, 1.0, mr, 0.3, 0.1)
+        assert res.converged
+        assert (res.n_terms == 10_000) == (mr < 5.93)
+        u = 2.0**-53
+        assert exact <= res.nu <= exact * (1 + 4 * (res.n_terms + 2) * u)
+        assert res.log_value == math.log(res.nu)
+
+    @pytest.mark.parametrize("mr", [5.9253, 5.92517])
+    def test_truncated_series_stays_an_upper_bound(self, mr):
+        # nu must be at or above the 40-digit closed form, with no slack.  The
+        # log-space partial sum (3e6 terms) cross-checks that closed form: it
+        # forms q c as exp(log q + log c), a few ulps off, which moves a series
+        # this close to its radius of convergence by up to 8u / (1 - q c)
+        # relative (6.6e-12 and 1.1e-10 here; 5.9e-11 seen at mR 5.92517)
+        s = SMatrix((0.4, 0.8, 1.2))
+        res = vacuum_bound(s, 1.0, mr, 0.3, 0.1)
+        exact, qc = vacuum_series_exact(s, 1.0, mr, 0.3, 0.1)
         assert res.converged and res.n_terms == 10_000
-        assert res.nu >= (1.0 - 1e-10) * vacuum_series_partial_sum(s, 1.0, mr, 0.3, 0.1, 3_000_000)
+        assert res.nu >= exact
+        partial = vacuum_series_partial_sum(s, 1.0, mr, 0.3, 0.1, 3_000_000)
+        assert abs(partial - float(exact)) <= 8.0 * 2.0**-53 / (1.0 - qc) * partial
         assert res.log_value == math.log(res.nu)
 
     @pytest.mark.parametrize("model", [

@@ -34,6 +34,7 @@ from entbound.measures import (
     verify_certificate,
 )
 from oracles import (
+    bell_correlation_functional,
     descend_sequential,
     descend_weighted,
     modular_nuclearity_kron,
@@ -508,6 +509,38 @@ class TestBellCorrelation:
         verify_certificate(rho, res)
         a1, a2, b1, b2 = res.certificate
         assert abs(bell_functional(rho, a1, a2, b1, b2) - res.value) <= 1e-9
+
+
+def ginibre_state(key: int, index: int, d: int, pure: bool = False):
+    """The seeded d x d states of the benchmark's input families."""
+    rng = np.random.default_rng([key, index, d, d])
+    if pure:
+        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        v /= np.linalg.norm(v)
+        m = np.outer(v, v.conj())
+    else:
+        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        m = g @ g.conj().T
+    return density_matrix(m / np.trace(m).real, d, d)
+
+
+class TestBellSeesawValue:
+    """Each round's value is the B-side conditional operators' trace norms;
+    the loop that re-evaluates bell_functional every round is the oracle."""
+
+    @pytest.mark.parametrize("rho", [
+        maximally_entangled(2),
+        ginibre_state(1, 0, 2),
+        ginibre_state(1, 0, 3),
+        ginibre_state(2, 0, 4),
+        ginibre_state(3, 0, 4, pure=True),
+    ], ids=["phi_plus", "audit-2x2-0", "audit-3x3-0", "nuclear-4x4-0", "pure-4x4-0"])
+    def test_matches_functional_loop(self, rho):
+        want, iters = bell_correlation_functional(rho)
+        res = bell_correlation(rho)
+        assert res.meta["iterations"] == iters
+        assert abs(res.value - want) <= 1e-12
+        verify_certificate(rho, res)
 
 
 class TestOrderingAudit:
