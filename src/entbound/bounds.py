@@ -6,11 +6,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
-from .measures import _sign_observable, mutual_information
+if TYPE_CHECKING:
+    from .linalg import DensityMatrix
 
 
 class BoundsError(ValueError):
@@ -140,6 +141,8 @@ def _hermitian_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _connected_correlator(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
+    from .linalg import partial_trace
+
     da, db = rho.dimA, rho.dimB
     joint = float(np.trace(rho.matrix @ np.kron(a, b)).real)
     ma = float(np.trace(partial_trace(rho, "A").matrix @ a).real)
@@ -154,6 +157,11 @@ def mutual_info_correlator_bound(rho: DensityMatrix, trials: int = 64, seed: int
     optimal contraction against a fixed partner is the sign of the connected
     conditional operator).
     """
+    # the density-matrix stack loads only here, so the gap function and the
+    # lattice bounds run without it
+    from .linalg import partial_trace
+    from .measures import _sign_observable, mutual_information
+
     if rho.dimB == 1:
         raise BoundsError("needs a bipartite state")
     da, db = rho.dimA, rho.dimB

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FREE_SCALAR_4D
+
 
 class CftError(ValueError):
     pass
@@ -146,9 +148,6 @@ class SpectrumTable:
 
     def has_identity(self) -> bool:
         return any(r.delta == 0.0 for r in self.rows)
-
-
-FREE_SCALAR_4D = "free-scalar-4d"
 
 
 def free_scalar_spectrum_4d(delta_max: int) -> SpectrumTable:

@@ -1,5 +1,10 @@
 """Command-line front end: state ingestion, measure reports, bound sweeps,
-CSV/JSON emission and reproducibility manifests."""
+CSV/JSON emission and reproducibility manifests.
+
+Each subcommand imports the domain module it runs, so a process loads only
+what its one command needs: the integrable sweep runs without numpy, and
+only ``measures`` (and ``lower --state``) load the density-matrix stack.
+"""
 
 from __future__ import annotations
 
@@ -11,26 +16,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, config
-from . import cft as cft_mod
-from . import gaussian as gaussian_mod
-from . import integrable as integrable_mod
-from . import sectors as sectors_mod
-from .bounds import PackingConfig, area_law_lower, gap_s, mutual_info_correlator_bound
-from .linalg import load_state
-from .measures import (
-    bell_correlation,
-    log_dominance_upper,
-    modular_nuclearity_upper,
-    mutual_information,
-    ordering_audit,
-    relative_entanglement_entropy_upper,
-)
 
 
 def _fmt(x) -> str:
@@ -117,6 +105,8 @@ def _map_rows(fn, points):
     caller's context, so it sees the caller's tolerance profile."""
     threads = int(os.environ.get("ENTBOUND_THREADS", "1"))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(contextvars.copy_context().run, fn, p) for p in points]
             return [f.result() for f in futures]
@@ -126,27 +116,30 @@ def _map_rows(fn, points):
 # ---------------------------------------------------------------------------
 # subcommands
 
-# each entry looks its function up by name when called, so a wrapper put on
-# this module's names (to count or time calls) applies
+# each entry looks its function up on the measures module when called, so a
+# wrapper put there (to count or time calls) applies
 _MEASURES = {
-    "EI": lambda rho, args: mutual_information(rho),
-    "ER": lambda rho, args: relative_entanglement_entropy_upper(
+    "EI": lambda measures, rho, args: measures.mutual_information(rho),
+    "ER": lambda measures, rho, args: measures.relative_entanglement_entropy_upper(
         rho, restarts=args.er_restarts, seed=args.seed),
-    "EN": lambda rho, args: log_dominance_upper(rho),
-    "EM": lambda rho, args: modular_nuclearity_upper(rho),
-    "EB": lambda rho, args: bell_correlation(rho, seed=args.seed),
+    "EN": lambda measures, rho, args: measures.log_dominance_upper(rho),
+    "EM": lambda measures, rho, args: measures.modular_nuclearity_upper(rho),
+    "EB": lambda measures, rho, args: measures.bell_correlation(rho, seed=args.seed),
 }
 
 
 def cmd_measures(args) -> int:
-    rho = load_state(args.state)
+    from . import linalg, measures
+
+    rho = linalg.load_state(args.state)
     wanted = [m.strip().upper() for m in args.measures.split(",") if m.strip()]
     for name in wanted:
         if name not in _MEASURES:
             raise ValueError(f"unknown measure {name!r}")
     report: dict = {"state": args.state}
     if {"EI", "ER", "EN", "EM"} <= set(wanted):
-        audit = ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts, include_eb="EB" in wanted)
+        audit = measures.ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts,
+                                        include_eb="EB" in wanted)
         results = audit.results
         report["ordering_audit"] = {
             "values": audit.values,
@@ -157,12 +150,14 @@ def cmd_measures(args) -> int:
             "ok": audit.ok,
         }
     else:
-        results = {name: _MEASURES[name](rho, args) for name in dict.fromkeys(wanted)}
+        results = {name: _MEASURES[name](measures, rho, args) for name in dict.fromkeys(wanted)}
     report["results"] = [dict(results[name].to_record(), seed=args.seed) for name in wanted]
     return emit_json(args, report)
 
 
 def cmd_gaussian(args) -> int:
+    from . import gaussian as gaussian_mod
+
     geom = gaussian_mod.LatticeGeometry(args.sites, args.spacing, args.mass, args.boundary)
     a_lo, a_hi = (int(x) for x in args.region_a.split(".."))
     region_a = tuple(range(a_lo, a_hi + 1))
@@ -180,13 +175,17 @@ def cmd_gaussian(args) -> int:
     return emit_rows(args, header, _map_rows(one, gaps))
 
 
-def _build_smatrix(args) -> integrable_mod.SMatrix:
+def _build_smatrix(args):
+    from . import integrable as integrable_mod
+
     if args.model == "sinh-gordon":
         return integrable_mod.sinh_gordon(args.g)
     return integrable_mod.SMatrix(tuple(float(b) for b in args.poles.split(",")))
 
 
 def cmd_integrable(args) -> int:
+    from . import integrable as integrable_mod
+
     s_matrix = _build_smatrix(args)
     points = parse_points(args.mR)
 
@@ -210,6 +209,8 @@ def cmd_integrable(args) -> int:
 
 
 def cmd_dirac(args) -> int:
+    from . import integrable as integrable_mod
+
     points = parse_points(args.eps)
 
     def one(eps):
@@ -231,6 +232,8 @@ def cmd_dirac(args) -> int:
 
 
 def _load_spectrum(path: str):
+    from . import cft as cft_mod
+
     rows_scalar = []
     rows_chiral = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -256,6 +259,10 @@ def _load_spectrum(path: str):
 
 
 def cmd_cft(args) -> int:
+    import numpy as np
+
+    from . import cft as cft_mod
+
     out: dict = {}
     if args.diamonds:
         cfg_raw = json.loads(Path(args.diamonds).read_text(encoding="utf-8"))
@@ -291,6 +298,8 @@ def cmd_cft(args) -> int:
 
 
 def cmd_sectors(args) -> int:
+    from . import sectors as sectors_mod
+
     out: dict = {}
     if args.young:
         rows = tuple(int(x) for x in args.young.split(","))
@@ -313,12 +322,14 @@ def cmd_sectors(args) -> int:
 
 
 def cmd_lower(args) -> int:
+    from . import bounds
+
     out: dict = {}
     if args.s_of is not None:
         out["x"] = args.s_of
-        out["s"] = gap_s(args.s_of)
+        out["s"] = bounds.gap_s(args.s_of)
     elif args.area:
-        cfg = PackingConfig(
+        cfg = bounds.PackingConfig(
             eps=args.eps,
             d=args.area,
             d2=args.d2,
@@ -326,13 +337,15 @@ def cmd_lower(args) -> int:
             length_a=args.len_a,
             length_b=args.len_b,
         )
-        n, bound = area_law_lower(cfg)
+        n, bound = bounds.area_law_lower(cfg)
         out.update({"pair_count": n, "bound": bound})
         if n == 0:
             out["warning"] = "corridor too wide: no pairs fit"
     elif args.state:
+        from .linalg import load_state
+
         rho = load_state(args.state)
-        out["correlator_bound"] = mutual_info_correlator_bound(
+        out["correlator_bound"] = bounds.mutual_info_correlator_bound(
             rho, trials=args.trials, seed=args.seed
         )
     else:
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dirac)
 
     p = sub.add_parser("cft", help="conformal bound evaluators")
-    p.add_argument("--spectrum", choices=[cft_mod.FREE_SCALAR_4D], default=None)
+    p.add_argument("--spectrum", choices=[config.FREE_SCALAR_4D], default=None)
     p.add_argument("--spectrum-file")
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--diamonds")

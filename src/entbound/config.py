@@ -40,6 +40,11 @@ PROFILES = {"strict": STRICT, "lattice": LATTICE}
 PROFILE: ContextVar[Tolerances] = ContextVar("entbound_tolerances", default=STRICT)
 
 
+# the named spectrum of the cft evaluators, defined here so that the command
+# line can offer it without importing cft and numpy
+FREE_SCALAR_4D = "free-scalar-4d"
+
+
 def current() -> Tolerances:
     """The tolerance profile in force in the calling context (STRICT unless set)."""
     return PROFILE.get()

@@ -9,6 +9,8 @@ passes a mandatory grid-doubling convergence check, doubling from 24 nodes
 until two successive values agree.  On the symmetric grid the Nystrom
 matrix K satisfies J K J = conj(K), J the index reversal, so the real matrix
 Re K + J Im K, unitarily similar to K, is built and decomposed instead.
+Only the Nystrom functions import numpy; the vacuum bound and its Bessel
+function are plain floating-point sums.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IntegrableError(ValueError):
@@ -99,14 +103,16 @@ def bessel_k0(x: float) -> float:
     which converges geometrically for an integrand analytic in a strip
     (Trefethen & Weideman, SIAM Rev. 56 (2014)).  The step is tuned to the
     strip |Im t| < pi/3 and the rule is cut at acosh(1 + 40/x), where the
-    integrand has fallen below e^{-40}.
+    integrand has fallen below e^{-40}.  The terms are summed with
+    ``math.fsum``, which rounds their exact sum once.
     """
     if x <= 0:
         raise IntegrableError("argument must be positive")
     d = math.pi / 3
     h = 2.0 * math.pi * d / (x * (1.0 - math.cos(d)) + 45.0)
-    t = h * np.arange(1, int(math.acosh(1.0 + 40.0 / x) / h) + 1)
-    return math.exp(-x) * h * (0.5 + float(np.sum(np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2))))
+    n = int(math.acosh(1.0 + 40.0 / x) / h)
+    terms = (math.exp(-2.0 * x * math.sinh(0.5 * (h * k)) ** 2) for k in range(1, n + 1))
+    return math.exp(-x) * h * (0.5 + math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,8 @@ class KernelGrid:
     theta_max: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if np.any(self.weights <= 0) or np.any(np.diff(self.nodes) <= 0):
             raise IntegrableError("grid must have positive weights and ascending nodes")
         # the real form of t_kernel_matrix pairs node i with node n-1-i
@@ -137,6 +145,8 @@ class KernelGrid:
 @functools.lru_cache(maxsize=8)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    import numpy as np
+
     # looked up at call time, so a wrapper put on leggauss (to count calls) applies
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
@@ -174,6 +184,8 @@ def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
     entries are sw_i d_i sw_j/(2 pi) * [a/(a^2 + (theta_j - theta_i)^2) +
     sign(kappa) (theta_i + theta_j)/(a^2 + (theta_i + theta_j)^2)].
     """
+    import numpy as np
+
     if kappa == 0 or s <= 0:
         raise IntegrableError("need kappa != 0 and s > 0")
     th = grid.nodes
@@ -196,6 +208,8 @@ def t_kernel_trace_norm(kappa: float, s: float, nodes: int = 96, theta_max: floa
     so the values converge geometrically in the node count, and a last pair
     that differs by more than 0.5% raises.
     """
+    import numpy as np
+
     theta_max = theta_cutoff(s) if theta_max is None else theta_max
 
     def norm_at(n: int) -> float:

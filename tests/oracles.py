@@ -876,3 +876,48 @@ def hadamard_bound_check(kappa: float, s: float, n: int, grid=None):
     lhs, _ = wedge_trace(ak, n)
     rhs = (1.0 / math.factorial(n)) * (2.0 * bessel_k0(s) / (kappa * math.pi)) ** n
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6))
+
+
+def bessel_k0_numpy(x: float) -> float:
+    """K0 by the trapezoid rule of ``integrable.bessel_k0`` (same step, same
+    cut), with the terms evaluated and summed by numpy."""
+    d = math.pi / 3
+    h = 2.0 * math.pi * d / (x * (1.0 - math.cos(d)) + 45.0)
+    t = h * np.arange(1, int(math.acosh(1.0 + 40.0 / x) / h) + 1)
+    return math.exp(-x) * h * (0.5 + float(np.sum(np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2))))
+
+
+def tensor_decompositions(dec1, dec2):
+    """Tensored certificate for a product state: pairs are kron'd pairwise.
+
+    The cost is the product of the costs, which is how the subadditivity of
+    the dominance bounds is certified.
+    """
+    from entbound.measures import SeparableDecomposition
+
+    pairs = [
+        (np.kron(f1, f2), np.kron(g1, g2))
+        for f1, g1 in dec1.pairs
+        for f2, g2 in dec2.pairs
+    ]
+    return SeparableDecomposition(pairs=pairs)
+
+
+def tensor_bipartite(rho1, rho2):
+    """Tensor two bipartite states, regrouping to (A1 A2 | B1 B2)."""
+    from entbound.linalg import DensityMatrix
+
+    da1, db1, da2, db2 = rho1.dimA, rho1.dimB, rho2.dimA, rho2.dimB
+    m = np.kron(rho1.matrix, rho2.matrix)
+    t = m.reshape(da1, db1, da2, db2, da1, db1, da2, db2)
+    t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    n = da1 * db1 * da2 * db2
+    return DensityMatrix(da1 * da2, db1 * db2, t.reshape(n, n))
+
+
+def local_unitary_conjugate(rho, u_a: np.ndarray, u_b: np.ndarray):
+    """(u_a (x) u_b) rho (u_a (x) u_b)^dagger as a state of the same split."""
+    from entbound.linalg import DensityMatrix
+
+    u = np.kron(u_a, u_b)
+    return DensityMatrix(rho.dimA, rho.dimB, u @ rho.matrix @ u.conj().T)

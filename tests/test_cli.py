@@ -94,7 +94,7 @@ class TestMeasuresCommand:
         # arrays stay out of the record
         meta = {"count": np.int64(3), "flag": np.bool_(True), "ratio": np.float32(0.5),
                 "listed": [1, 2], "array": np.zeros(2)}
-        monkeypatch.setattr(cli, "mutual_information",
+        monkeypatch.setattr(measures, "mutual_information",
                             lambda rho: measures.MeasureResult("EI", 0.0, measures.EXACT, meta=meta))
         out = tmp_path / "report.json"
         assert main(["measures", "--state", product_file, "--measures", "EI", "--out", str(out)]) == 0
@@ -237,7 +237,53 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("ENTBOUND_THREADS", None)
+    script = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return set(done.stdout.split())
+
+
+def _modules_after_cli(argv: list[str]) -> set[str]:
+    return _modules_after("import io, contextlib\nfrom entbound.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          f"    assert main({argv!r}) == 0")
+
+
 class TestImportCost:
+    """Each subcommand loads only the modules it runs, in a fresh process."""
+
+    def test_cli_import_loads_no_numpy(self):
+        loaded = _modules_after("import entbound.cli")
+        assert "numpy" not in loaded
+        assert {"entbound.cli", "entbound.config"} <= loaded
+
+    def test_integrable_sweep_runs_without_numpy(self):
+        loaded = _modules_after_cli(["integrable", "--model", "custom", "--poles", "0.6,1.0,1.4",
+                                     "--mR", "3..8..0.5"])
+        assert "entbound.integrable" in loaded
+        assert "numpy" not in loaded
+
+    def test_dirac_skips_the_density_matrix_stack(self):
+        loaded = _modules_after_cli(["dirac", "--eps", "0.2"])
+        assert "entbound.integrable" in loaded
+        assert not loaded & {"entbound.measures", "entbound.modular", "entbound.linalg"}
+
+    def test_gaussian_skips_the_measures(self):
+        loaded = _modules_after_cli(["gaussian", "--sites", "32", "--regionA", "4..7",
+                                     "--gap", "4", "--trials", "1"])
+        assert {"entbound.gaussian", "entbound.bounds"} <= loaded
+        assert not loaded & {"entbound.measures", "entbound.modular"}
+
+    def test_measures_skips_the_field_theory_modules(self, phi_plus_file):
+        loaded = _modules_after_cli(["measures", "--state", phi_plus_file, "--measures", "EI,EN"])
+        assert "entbound.measures" in loaded
+        assert not loaded & {"entbound.gaussian", "entbound.integrable", "entbound.cft",
+                             "entbound.sectors", "entbound.bounds"}
+
     def test_dirac_and_measures_leave_scipy_unloaded(self, tmp_path, phi_plus_file):
         # scipy is imported inside the few functions that use it, so neither
         # command pays for it at start-up
@@ -452,7 +498,6 @@ class TestMeasuresEvaluatedOnce:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(measures, name, counting)
-            monkeypatch.setattr(cli, name, counting)
         out = tmp_path / "report.json"
         assert main(["measures", "--state", phi_plus_file, "--er-restarts", "2",
                      "--seed", "1", "--out", str(out)]) == 0
@@ -503,9 +548,35 @@ class TestErrorExit:
         def fail(*args, **kwargs):
             raise AssertionError("a measure was evaluated")
 
-        monkeypatch.setattr(cli, "mutual_information", fail)
+        monkeypatch.setattr(measures, "mutual_information", fail)
         out = tmp_path / "report.json"
         assert main(["measures", "--state", phi_plus_file, "--measures", "EI,XX",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: unknown measure 'XX'\n"
         assert not out.exists()
+
+
+class TestPackageSurface:
+    def test_every_public_name_is_its_modules_object(self):
+        import importlib
+
+        import entbound
+
+        for name in entbound.__all__:
+            module = importlib.import_module(f"entbound.{entbound._SOURCES[name]}")
+            assert getattr(entbound, name) is getattr(module, name), name
+        assert set(entbound.__all__) <= set(dir(entbound))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from entbound import *", namespace)
+        import entbound
+
+        assert {k for k in namespace if not k.startswith("__")} == set(entbound.__all__)
+        assert namespace["mutual_information"] is measures.mutual_information
+
+    def test_unknown_attribute(self):
+        import entbound
+
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            entbound.not_a_name

@@ -28,6 +28,7 @@ from oracles import (
     _elementary_symmetric,
     a_kernel,
     a_kernel_value,
+    bessel_k0_numpy,
     hadamard_bound_check,
     strip_sup_norm_scalar,
     t_kernel_matrix_complex,
@@ -197,6 +198,16 @@ class TestBesselK0:
         xs = np.geomspace(1e-6, 700.0, 2000)
         got = np.array([bessel_k0(float(x)) for x in xs])
         assert np.all(np.abs(got - k0(xs)) <= 1e-14 * k0(xs))
+
+    def test_fsum_matches_the_numpy_sum(self):
+        # the same trapezoid summed by numpy: within 4 ulps, and both within
+        # 1e-14 relative of scipy
+        from scipy.special import k0
+
+        for x in np.geomspace(1e-3, 200.0, 400):
+            got, old, want = bessel_k0(float(x)), bessel_k0_numpy(float(x)), float(k0(x))
+            assert abs(got - old) <= 4 * math.ulp(old), x
+            assert abs(got - want) <= 1e-14 * want, x
 
 
 class TestTKernel:

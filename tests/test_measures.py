@@ -21,7 +21,6 @@ from entbound.measures import (
     bell_correlation,
     bell_functional,
     dominating_separable,
-    local_unitary_conjugate,
     log_dominance_upper,
     matrix_unit_decomposition,
     modular_nuclearity_pure,
@@ -30,15 +29,17 @@ from entbound.measures import (
     ordering_audit,
     relative_entanglement_entropy_upper,
     schmidt_entropy,
-    tensor_bipartite,
     verify_certificate,
 )
 from oracles import (
     bell_correlation_functional,
     descend_sequential,
     descend_weighted,
+    local_unitary_conjugate,
     modular_nuclearity_kron,
     modular_nuclearity_omega_matrix,
+    tensor_bipartite,
+    tensor_decompositions,
     vn_entropy_scalar,
 )
 
@@ -594,8 +595,6 @@ class TestSymmetriesAndTensoring:
         assert abs(v1 - v2) <= 5e-3
 
     def test_e5_subadditivity_via_tensored_certificates(self):
-        from entbound.measures import tensor_decompositions
-
         rho1 = faithful_2x2(41)
         rho2 = faithful_2x2(43)
         combined = tensor_bipartite(rho1, rho2)
