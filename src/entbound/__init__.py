@@ -21,9 +21,7 @@ _SOURCES = {
         "log_dominance_upper", "modular_nuclearity_pure", "modular_nuclearity_upper",
         "mutual_information", "ordering_audit", "relative_entanglement_entropy_upper",
         "schmidt_entropy"), "measures"),
-    **dict.fromkeys((
-        "araki_relative_entropy", "connes_cocycle", "kms_check", "natural_cone_rep",
-        "powers_stormer_gap", "relative_entropy"), "modular"),
+    "relative_entropy": "modular",
 }
 
 __all__ = sorted(_SOURCES)

@@ -143,7 +143,6 @@ def _hermitian_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
 def _connected_correlator(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
     from .linalg import partial_trace
 
-    da, db = rho.dimA, rho.dimB
     joint = float(np.trace(rho.matrix @ np.kron(a, b)).real)
     ma = float(np.trace(partial_trace(rho, "A").matrix @ a).real)
     mb = float(np.trace(partial_trace(rho, "B").matrix @ b).real)

@@ -333,17 +333,3 @@ def massless_free_scalar_power(coefficient: float, d: int, r: float) -> float:
     if d <= 2:
         raise CftError("need spatial dimension d > 2")
     return coefficient * r ** (-(d - 2))
-
-
-def nuclearity_bound_shapes(shape: str, **params) -> float:
-    """Dispatcher over the closed-form bound shapes (CLI entry point)."""
-    table = {
-        "massive-series": bw_massive_series,
-        "short-distance": bw_short_distance,
-        "kms": kms_power_law,
-        "massless": massless_power_law,
-        "massless-free-scalar": massless_free_scalar_power,
-    }
-    if shape not in table:
-        raise CftError(f"unknown shape {shape!r}; choose from {sorted(table)}")
-    return table[shape](**params)

@@ -29,22 +29,26 @@ def _fmt(x) -> str:
 
 
 def parse_points(spec: str, integer: bool = False):
-    """Parse a sweep spec: 'lo..hi', 'lo..hi..step', or a comma list."""
+    """Parse a sweep spec: 'lo..hi', 'lo..hi..step', or a comma list.
+
+    A nan or infinite bound, step or point raises ``ValueError``.
+    """
     if ".." in spec:
-        parts = spec.split("..")
-        if len(parts) == 2:
-            lo, hi = float(parts[0]), float(parts[1])
-            step = 1.0
-        elif len(parts) == 3:
-            lo, hi, step = (float(p) for p in parts)
-        else:
+        values = [float(p) for p in spec.split("..")]
+        if len(values) not in (2, 3):
             raise ValueError(f"bad range spec {spec!r}")
+    else:
+        values = [float(p) for p in spec.split(",") if p.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep spec {spec!r} holds a value that is not finite")
+    if ".." in spec:
+        lo, hi, step = values if len(values) == 3 else (*values, 1.0)
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         pts = [lo + k * step for k in range(n)]
     else:
-        pts = [float(p) for p in spec.split(",") if p.strip()]
+        pts = values
     if integer:
         return [int(round(p)) for p in pts]
     return pts
@@ -236,15 +240,19 @@ def _load_spectrum(path: str):
 
     rows_scalar = []
     rows_chiral = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    lines = [(n, line.strip()) for n, line in
+             enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+             if line.strip()]
+    for k, (lineno, line) in enumerate(lines):
         parts = [p.strip() for p in line.split(",")]
         try:
             nums = [float(p) for p in parts]
         except ValueError:
-            continue  # header line
+            if k == 0:
+                continue  # header line
+            raise ValueError(f"{path}, line {lineno}: non-numeric spectrum row {line!r}") from None
+        if not all(math.isfinite(x) for x in nums):
+            raise ValueError(f"{path}, line {lineno}: non-finite spectrum row {line!r}")
         if len(nums) == 4:
             rows_scalar.append(cft_mod.SpectrumRow(nums[0], nums[1], nums[2], int(nums[3])))
         elif len(nums) == 2:

@@ -223,37 +223,3 @@ def decay_row(
     upper = kg_upper_bound(state, regions)
     lower = correlator_lower_bound(state, regions) if trials > 0 else 0.0
     return int(gap), gap * state.geometry.spacing, upper, lower
-
-
-def decay_sweep(
-    geom: LatticeGeometry,
-    region_a: tuple[int, ...],
-    gaps,
-    trials: int = 0,
-):
-    """Upper (and optional lower) bounds versus the A-B gap in sites.
-
-    Returns one :func:`decay_row` per gap; a gap that leaves region B fewer
-    than two sites raises.
-    """
-    state = build_state(geom)
-    rows = []
-    for gap in gaps:
-        if max(region_a) + 1 + int(gap) >= geom.sites - 1:
-            raise GaussianError(f"gap {gap} leaves no room for region B")
-        rows.append(decay_row(state, region_a, gap, trials))
-    return rows
-
-
-def log_linear_fit(xs, ys):
-    """Least-squares slope/intercept of log(y) vs x plus the R^2 of the fit."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    keep = ys > 0
-    xs, ly = xs[keep], np.log(ys[keep])
-    slope, intercept = np.polyfit(xs, ly, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2

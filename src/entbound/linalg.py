@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -60,58 +59,21 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def matrix_function(
-    m: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    domain: Callable[[np.ndarray], bool] | None = None,
-    domain_name: str = "",
-    clip_floor: float | None = None,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    ``domain`` is a vectorized predicate on the eigenvalues; a violation
-    raises naming the offending eigenvalue.  Eigenvalues in
-    ``[-clip_floor, 0]`` are clipped to zero first (quadrature round-off must
-    not abort a valid run); anything below ``-clip_floor`` fails the domain
-    guard like any other out-of-domain value.
-    """
-    w, v = eigh(m)
-    if clip_floor is not None:
-        w = np.where((w < 0) & (w >= -clip_floor), 0.0, w)
-    if domain is not None and not bool(domain(w)):
-        bad = w[~np.atleast_1d(_domain_mask(domain, w))]
-        offender = bad[0] if bad.size else w[0]
-        raise LinalgError(
-            f"eigenvalue {offender!r} outside domain{' of ' + domain_name if domain_name else ''}"
-        )
-    fw = np.asarray(f(w), dtype=float)
-    return (v * fw) @ v.conj().T
-
-
-def _domain_mask(domain: Callable[[np.ndarray], bool], w: np.ndarray) -> np.ndarray:
-    return np.array([bool(domain(np.array([x]))) for x in w])
-
-
 def matrix_power_psd(m: np.ndarray, p: float) -> np.ndarray:
-    """Fractional power of a PSD Hermitian matrix (negative eigs clipped)."""
-    tol = config.current().psd_slack
+    """Power of a PSD Hermitian matrix, taken on its support.
 
-    def guard(w: np.ndarray) -> bool:
-        if p < 0 or (0 < p < 1):
-            return bool(np.all(w >= 0))
-        return True
-
-    def f(w: np.ndarray) -> np.ndarray:
-        if p < 0 or (0 < p < 1):
-            # sub-support eigenvalues are zero by convention; fractional
-            # powers would otherwise amplify round-off noise
-            out = np.zeros_like(w)
-            pos = w > config.current().support_cut
-            out[pos] = w[pos] ** p
-            return out
-        return np.where(w > 0, w, 0.0) ** p
-
-    return matrix_function(m, f, domain=guard, domain_name=f"x**{p}", clip_floor=tol)
+    Eigenvalues in ``[-psd_slack, support_cut]`` are round-off and map to
+    zero, so fractional and negative powers do not amplify noise; an
+    eigenvalue below ``-psd_slack`` raises, naming it.
+    """
+    tol = config.current()
+    w, v = eigh(m)
+    if w[0] < -tol.psd_slack:
+        raise LinalgError(f"eigenvalue {float(w[0])!r} outside domain of x**{p}")
+    fw = np.zeros_like(w)
+    pos = w > tol.support_cut
+    fw[pos] = w[pos] ** p
+    return (v * fw) @ v.conj().T
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -163,9 +125,8 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def is_faithful(self, min_eig: float | None = None) -> bool:
-        cut = config.current().faithful_min_eig if min_eig is None else min_eig
-        return bool(self.eigenvalues().min() > cut)
+    def is_faithful(self) -> bool:
+        return bool(self.eigenvalues().min() > config.current().faithful_min_eig)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

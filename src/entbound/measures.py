@@ -26,6 +26,7 @@ from .linalg import (
     eigh,
     matrix_power_psd,
     partial_trace,
+    swap_sides,
     trace_norm,
 )
 
@@ -416,47 +417,26 @@ def matrix_unit_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     return SeparableDecomposition(pairs=pairs)
 
 
-def operator_schmidt_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
-    """Pairs from the operator Schmidt (realignment SVD) of the state."""
-    da, db = rho.dimA, rho.dimB
-    r = rho.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    u, s, vh = np.linalg.svd(r)
-    pairs = []
-    for k in range(len(s)):
-        if s[k] < 1e-14:
-            continue
-        fa = (s[k] * u[:, k]).reshape(da, da)
-        gb = vh[k, :].reshape(db, db)
-        pairs.append((fa, gb))
-    return SeparableDecomposition(pairs=pairs)
+def log_dominance_upper(rho: DensityMatrix) -> MeasureResult:
+    """Upper bound on the logarithmic dominance from the matrix-unit decomposition.
 
-
-def log_dominance_upper(rho: DensityMatrix, strategy: str = "matrix_unit") -> MeasureResult:
-    """Upper bound on the logarithmic dominance from a concrete decomposition.
-
-    The matrix-unit strategy evaluates both sides and keeps the cheaper one,
-    so the bound is symmetric under exchanging the parties.
+    Both sides' decompositions are evaluated and the cheaper one is kept, so
+    the bound is symmetric under exchanging the parties.  The certificate is
+    the decomposition; ``meta["strategy"]`` names it ("matrix_unit").
     """
     if rho.dimB == 1:
         raise MeasureError("logarithmic dominance needs a bipartite state")
-    if strategy == "matrix_unit":
-        dec = matrix_unit_decomposition(rho)
-        from .linalg import swap_sides
-
-        dec_b = matrix_unit_decomposition(swap_sides(rho))
-        if dec_b.cost() < dec.cost():
-            dec = SeparableDecomposition(pairs=[(g, f) for f, g in dec_b.pairs])
-    elif strategy == "operator_schmidt":
-        dec = operator_schmidt_decomposition(rho)
-    else:
-        raise MeasureError(f"unknown strategy {strategy!r}")
+    dec = matrix_unit_decomposition(rho)
+    dec_b = matrix_unit_decomposition(swap_sides(rho))
+    if dec_b.cost() < dec.cost():
+        dec = SeparableDecomposition(pairs=[(g, f) for f, g in dec_b.pairs])
     dec.check_reconstructs(rho)
     sigma, mu = dominating_separable(dec)
     value = float(np.log(mu))
     h_norm = modular.relative_entropy(rho, DensityMatrix(rho.dimA, rho.dimB, sigma / mu))
     return MeasureResult(
         "EN", value, UPPER, certificate=dec,
-        meta={"strategy": strategy, "sigma_trace": mu, "h_to_normalized_sigma": h_norm},
+        meta={"strategy": "matrix_unit", "sigma_trace": mu, "h_to_normalized_sigma": h_norm},
     )
 
 
@@ -576,7 +556,6 @@ def _sign_observable(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def bell_functional(rho: DensityMatrix, a1, a2, b1, b2) -> float:
-    da, db = rho.dimA, rho.dimB
     op = 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
     return float(np.trace(rho.matrix @ op).real)
 
@@ -715,7 +694,7 @@ def ordering_audit(
     """
     results = {
         "EI": mutual_information(rho),
-        "EN": log_dominance_upper(rho, "matrix_unit"),
+        "EN": log_dominance_upper(rho),
         "EM": modular_nuclearity_upper(rho),
     }
     if include_er:

@@ -25,10 +25,6 @@ class YoungDiagram:
             raise SectorError("row lengths must be weakly decreasing")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def boxes(self) -> int:
-        return sum(self.rows)
-
     def hook_length(self, i: int, j: int) -> int:
         """Arm plus leg plus one for the box in row i, column j (0-based)."""
         arm = self.rows[i] - (j + 1)

@@ -1,4 +1,11 @@
-"""Independent reference implementations used only to cross-check results."""
+"""Independent reference implementations used only to cross-check results.
+
+Some are second algorithms for a value the package computes (Jacobi
+eigensolver, complex Nystrom matrix, Kronecker-product E_M); others are the
+modular-theory constructions that only the tests evaluate: the Araki form of
+the relative entropy, the Connes cocycle, the KMS condition, the
+Powers-Stormer inequality and random CPTP maps.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from entbound.linalg import (
+    DensityMatrix,
+    check_hermitian,
+    eigh,
+    hs_norm,
+    matrix_power_psd,
+    trace_norm,
+)
+from entbound.modular import ModularError, _check_same_dim
 
 
 def jacobi_eigh(h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
@@ -407,7 +424,7 @@ def modular_nuclearity_kron(rho):
     vector, both for the Tomita solve and for the nu sum.
     """
     from entbound import config
-    from entbound.linalg import eigh, matrix_power_psd, partial_trace
+    from entbound.linalg import partial_trace
 
     def _matrix_unit(d, i, j):
         m = np.zeros((d, d), dtype=complex)
@@ -472,7 +489,7 @@ def modular_nuclearity_omega_matrix(rho):
     commutant orbit, a pinv of the algebra orbit and one eigh of Delta.
     """
     from entbound import config
-    from entbound.linalg import eigh, matrix_power_psd, partial_trace
+    from entbound.linalg import partial_trace
 
     def _modular_quarter(m, spectral_cut=1e-13):
         n_alg, n_com = m.shape
@@ -742,7 +759,6 @@ def entropy_gap_check(rho, rho2):
     import math
 
     from entbound.bounds import gap_s
-    from entbound.linalg import trace_norm
     from entbound.modular import relative_entropy
 
     h = relative_entropy(rho, rho2)
@@ -758,7 +774,6 @@ def fidelity_lower_bound_check(rho, rho2):
     import math
 
     from entbound.bounds import gap_s
-    from entbound.linalg import matrix_power_psd
     from entbound.modular import relative_entropy
 
     overlap = float(
@@ -905,8 +920,6 @@ def tensor_decompositions(dec1, dec2):
 
 def tensor_bipartite(rho1, rho2):
     """Tensor two bipartite states, regrouping to (A1 A2 | B1 B2)."""
-    from entbound.linalg import DensityMatrix
-
     da1, db1, da2, db2 = rho1.dimA, rho1.dimB, rho2.dimA, rho2.dimB
     m = np.kron(rho1.matrix, rho2.matrix)
     t = m.reshape(da1, db1, da2, db2, da1, db1, da2, db2)
@@ -917,7 +930,216 @@ def tensor_bipartite(rho1, rho2):
 
 def local_unitary_conjugate(rho, u_a: np.ndarray, u_b: np.ndarray):
     """(u_a (x) u_b) rho (u_a (x) u_b)^dagger as a state of the same split."""
-    from entbound.linalg import DensityMatrix
-
     u = np.kron(u_a, u_b)
     return DensityMatrix(rho.dimA, rho.dimB, u @ rho.matrix @ u.conj().T)
+
+
+def operator_schmidt_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
+    """Pairs from the operator Schmidt (realignment SVD) of the state.
+
+    A second certificate for the dominance bound, independent of the
+    matrix-unit one that ``log_dominance_upper`` builds.
+    """
+    from entbound.measures import SeparableDecomposition
+
+    da, db = rho.dimA, rho.dimB
+    r = rho.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    u, s, vh = np.linalg.svd(r)
+    pairs = []
+    for k in range(len(s)):
+        if s[k] < 1e-14:
+            continue
+        fa = (s[k] * u[:, k]).reshape(da, da)
+        gb = vh[k, :].reshape(db, db)
+        pairs.append((fa, gb))
+    return SeparableDecomposition(pairs=pairs)
+
+
+def decay_sweep(
+    geom: LatticeGeometry,
+    region_a: tuple[int, ...],
+    gaps,
+    trials: int = 0,
+):
+    """Upper (and optional lower) bounds versus the A-B gap in sites.
+
+    Returns one :func:`decay_row` per gap; a gap that leaves region B fewer
+    than two sites raises.
+    """
+    from entbound.gaussian import GaussianError, build_state, decay_row
+
+    state = build_state(geom)
+    rows = []
+    for gap in gaps:
+        if max(region_a) + 1 + int(gap) >= geom.sites - 1:
+            raise GaussianError(f"gap {gap} leaves no room for region B")
+        rows.append(decay_row(state, region_a, gap, trials))
+    return rows
+
+
+def log_linear_fit(xs, ys):
+    """Least-squares slope/intercept of log(y) vs x plus the R^2 of the fit."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = ys > 0
+    xs, ly = xs[keep], np.log(ys[keep])
+    slope, intercept = np.polyfit(xs, ly, 1)
+    pred = slope * xs + intercept
+    ss_res = float(np.sum((ly - pred) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
+# ---------------------------------------------------------------------------
+# modular theory of finite-dimensional states
+
+
+@dataclass(frozen=True)
+class GnsRep:
+    """GNS data of a faithful state: the standard vector is sqrt(rho)."""
+
+    state: DensityMatrix
+    omega: np.ndarray  # sqrt(rho), unit Hilbert-Schmidt norm
+
+    @property
+    def dim(self) -> int:
+        return self.state.dim
+
+
+def gns_rep(rho: DensityMatrix) -> GnsRep:
+    if not rho.is_faithful():
+        raise ModularError("state is not faithful; GNS vector would not be separating")
+    omega = matrix_power_psd(rho.matrix, 0.5)
+    nrm = hs_norm(omega)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ModularError(f"GNS vector has norm {nrm}")
+    return GnsRep(state=rho, omega=omega)
+
+
+def natural_cone_rep(rho: DensityMatrix) -> np.ndarray:
+    """Cone representative of a state: the PSD square root of its matrix."""
+    return matrix_power_psd(rho.matrix, 0.5)
+
+
+def araki_relative_entropy(rho: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Relative entropy as the standard-vector expectation of log Delta.
+
+    The relative modular operator of the pair has eigenvalues l_i/m_j on the
+    matrix units |e_i><f_j| built from the two eigenbases; the expectation
+    in the GNS vector of ``rho`` is evaluated as a double spectral sum.
+    """
+    _check_same_dim(rho, rho2)
+    for s, name in ((rho, "first"), (rho2, "second")):
+        if not s.is_faithful():
+            raise ModularError(
+                f"{name} state is not faithful; use relative_entropy for the support-projected value"
+            )
+    w1, v1 = eigh(rho.matrix)
+    w2, v2 = eigh(rho2.matrix)
+    overlap = np.abs(v1.conj().T @ v2) ** 2  # |<e_i|f_j>|^2
+    log_ratio = np.log(w1)[:, None] - np.log(w2)[None, :]
+    return float(np.sum(w1[:, None] * overlap * log_ratio))
+
+
+def connes_cocycle(rho: DensityMatrix, rho2: DensityMatrix, t: float) -> np.ndarray:
+    """Unitary cocycle rho^{it} rho2^{-it} of a pair of faithful states."""
+    _check_same_dim(rho, rho2)
+    for s in (rho, rho2):
+        if not s.is_faithful():
+            raise ModularError("cocycle needs faithful states")
+    w1, v1 = eigh(rho.matrix)
+    w2, v2 = eigh(rho2.matrix)
+    u1 = (v1 * np.exp(1j * t * np.log(w1))) @ v1.conj().T
+    u2 = (v2 * np.exp(-1j * t * np.log(w2))) @ v2.conj().T
+    return u1 @ u2
+
+
+def cocycle_derivative(rho: DensityMatrix, rho2: DensityMatrix, t: float = 1e-5) -> float:
+    """Relative entropy from the cocycle via a symmetric finite difference.
+
+    Uses Im omega([D rho : D rho2]_t)/t at +-t with one Richardson step; the
+    limit t -> 0 is the relative entropy.
+    """
+
+    def f(s: float) -> float:
+        u = connes_cocycle(rho, rho2, s)
+        return float(np.trace(rho.matrix @ u).imag)
+
+    def sym(h: float) -> float:
+        return (f(h) - f(-h)) / (2.0 * h)
+
+    d1 = sym(t)
+    d2 = sym(t / 2.0)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def modular_flow(rho: DensityMatrix, a: np.ndarray, t: float) -> np.ndarray:
+    """sigma_t(a) = rho^{it} a rho^{-it} (Heisenberg evolution by -log rho)."""
+    w, v = eigh(rho.matrix)
+    u = (v * np.exp(1j * t * np.log(w))) @ v.conj().T
+    return u @ a @ u.conj().T
+
+
+def kms_check(
+    rho: DensityMatrix,
+    a: np.ndarray,
+    b: np.ndarray,
+    t_grid: np.ndarray | None = None,
+) -> float:
+    """Max deviation of the KMS boundary identity over a grid of times.
+
+    Both sides are finite-dimensional identities: the analytic correlator at
+    imaginary offset i equals the flipped-order correlator, so the deviation
+    is pure round-off for any faithful state.
+    """
+    if not rho.is_faithful():
+        raise ModularError("KMS check needs a faithful state")
+    a = check_hermitian(a, "a")
+    b = check_hermitian(b, "b")
+    if t_grid is None:
+        t_grid = np.linspace(-2.0, 2.0, 9)
+    w, v = eigh(rho.matrix)
+    logw = np.log(w)
+    rho_m = rho.matrix
+    dev = 0.0
+    for t in t_grid:
+        # e^{i(t+i)K} with K = -log rho  ->  rho^{-i t} rho^{...}; assembled
+        # spectrally: exp(i z K) = V diag(exp(-i z log w)) V^†, z = t + i
+        z = t + 1j
+        ez = (v * np.exp(-1j * z * logw)) @ v.conj().T
+        ezinv = (v * np.exp(1j * z * logw)) @ v.conj().T
+        lhs = np.trace(rho_m @ a @ ez @ b @ ezinv)
+        rhs = np.trace(rho_m @ modular_flow(rho, b, -t) @ a)
+        dev = max(dev, abs(lhs - rhs))
+    return float(dev)
+
+
+def powers_stormer_gap(rho: DensityMatrix, rho2: DensityMatrix) -> tuple[float, float]:
+    """(trace distance, squared HS distance of the square roots).
+
+    The first entry dominates the second for any pair of states.
+    """
+    _check_same_dim(rho, rho2)
+    lhs = trace_norm(rho.matrix - rho2.matrix)
+    rhs = hs_norm(natural_cone_rep(rho) - natural_cone_rep(rho2)) ** 2
+    return lhs, rhs
+
+
+def apply_kraus(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatrix:
+    """Apply a CPTP map given by Kraus operators to a state."""
+    total = sum(k.conj().T @ k for k in kraus)
+    n = rho.dim
+    if not np.allclose(total, np.eye(n), atol=1e-10):
+        raise ModularError("Kraus family is not trace preserving")
+    out = sum(k @ rho.matrix @ k.conj().T for k in kraus)
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix(dimA=n, dimB=1, matrix=out)
+
+
+def random_kraus_family(dim: int, n_ops: int, seed: int = 0) -> list[np.ndarray]:
+    """Seeded random CPTP Kraus family (isometry columns construction)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim * n_ops, dim)) + 1j * rng.standard_normal((dim * n_ops, dim))
+    q, _ = np.linalg.qr(g)  # isometry: q^† q = 1_dim
+    return [q[i * dim : (i + 1) * dim, :] for i in range(n_ops)]

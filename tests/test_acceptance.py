@@ -32,7 +32,7 @@ from entbound.cft import (
     tau_theta,
 )
 from entbound.cli import main as cli_main
-from entbound.gaussian import LatticeGeometry, decay_sweep, log_linear_fit
+from entbound.gaussian import LatticeGeometry
 from entbound.integrable import (
     bessel_k0,
     sinh_gordon,
@@ -54,13 +54,7 @@ from entbound.measures import (
     relative_entanglement_entropy_upper,
     verify_certificate,
 )
-from entbound.modular import (
-    apply_kraus,
-    araki_relative_entropy,
-    cocycle_derivative,
-    random_kraus_family,
-    relative_entropy,
-)
+from entbound.modular import relative_entropy
 from entbound.sectors import (
     Sector,
     SectorList,
@@ -71,10 +65,16 @@ from entbound.sectors import (
 )
 from oracles import (
     a_kernel,
+    apply_kraus,
+    araki_relative_entropy,
     bell_phi_plus_value,
+    cocycle_derivative,
+    decay_sweep,
     entropy_gap_check,
     fidelity_lower_bound_check,
     hadamard_bound_check,
+    log_linear_fit,
+    random_kraus_family,
     wedge_trace,
 )
 from scipy.integrate import quad

@@ -23,7 +23,6 @@ from entbound.cft import (
     kms_power_law,
     massless_free_scalar_power,
     minkowski_square,
-    nuclearity_bound_shapes,
     quantum_integer,
     tau_theta,
 )
@@ -325,14 +324,9 @@ class TestNuclearityShapes:
         v1 = kms_power_law(3.0, alpha, 5.0)
         v2 = kms_power_law(3.0, alpha, 10.0)
         assert abs(v2 / v1 - 2.0 ** (1 - alpha)) <= 1e-12
+        assert abs(kms_power_law(1.0, 2.0, 4.0) - 0.25) <= 1e-12
 
     def test_massless_scalar_dimension_guard(self):
         with pytest.raises(CftError):
             massless_free_scalar_power(1.0, 2, 3.0)
         assert abs(massless_free_scalar_power(1.0, 4, 2.0) - 0.25) <= 1e-12
-
-    def test_dispatcher(self):
-        v = nuclearity_bound_shapes("kms", coefficient=1.0, alpha=2.0, r=4.0)
-        assert abs(v - 0.25) <= 1e-12
-        with pytest.raises(CftError):
-            nuclearity_bound_shapes("nope")

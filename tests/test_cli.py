@@ -50,6 +50,22 @@ class TestParsePoints:
     def test_comma_list(self):
         assert parse_points("0.1,0.01") == [0.1, 0.01]
 
+    @pytest.mark.parametrize("argv", [
+        ["integrable", "--mR", "1..inf"],
+        ["integrable", "--mR", "nan"],
+        ["dirac", "--eps", "1..inf"],
+        ["dirac", "--eps", "nan"],
+        ["gaussian", "--gap", "8..inf"],
+        ["gaussian", "--gap", "8..12..nan"],
+        ["integrable", "--mR", "1,-inf"],
+    ])
+    def test_non_finite_spec_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+        assert not out.exists()
+
 
 class TestMeasuresCommand:
     def test_phi_plus_full_report(self, phi_plus_file, tmp_path):
@@ -411,6 +427,21 @@ class TestOtherCommands:
         assert code == 0
         rec = json.loads(out.read_text())
         assert rec["xi"] > 0 and rec["bound"] > 0
+
+    @pytest.mark.parametrize("last", ["4x", "inf"])
+    def test_malformed_spectrum_row_is_an_error(self, last, tmp_path, capsys):
+        # only the first line may be a header; a later bad row must not be
+        # skipped, which would bound a truncated spectrum
+        spec = tmp_path / "spec.csv"
+        spec.write_text(f"0,0,0,1\n1.0,0,0,1\n2.0,0,0,{last}\n")
+        assert main(["cft", "--spectrum-file", str(spec), "--ratio", "0.01"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}, line 3: ")
+
+    def test_spectrum_header_is_skipped(self, tmp_path, capsys):
+        spec = tmp_path / "spec.csv"
+        spec.write_text("delta,sL,sR,mult\n\n0,0,0,1\n1.0,0,0,1\n")
+        assert main(["cft", "--spectrum-file", str(spec), "--ratio", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] > 0
 
     def test_thread_env_preserves_order(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTBOUND_THREADS", "4")

@@ -14,10 +14,8 @@ from entbound.gaussian import (
     correlator_lower_bound,
     covariance_form,
     decay_row,
-    decay_sweep,
     kg_upper_bound,
     laplacian,
-    log_linear_fit,
     principal_cosines,
     region_projectors,
     weyl_expectation,
@@ -25,7 +23,9 @@ from entbound.gaussian import (
 )
 from oracles import (
     correlator_lower_bound_loop,
+    decay_sweep,
     kg_upper_bound_projectors,
+    log_linear_fit,
     principal_candidates,
     principal_candidates_loop,
     principal_gram,

@@ -15,7 +15,9 @@ from entbound.linalg import (
     swap_sides,
 )
 from entbound.measures import (
+    UPPER,
     MeasureError,
+    MeasureResult,
     SeparableAnsatz,
     SeparableDecomposition,
     bell_correlation,
@@ -38,6 +40,7 @@ from oracles import (
     local_unitary_conjugate,
     modular_nuclearity_kron,
     modular_nuclearity_omega_matrix,
+    operator_schmidt_decomposition,
     tensor_bipartite,
     tensor_decompositions,
     vn_entropy_scalar,
@@ -338,8 +341,6 @@ class TestDominatingSeparable:
         assert np.linalg.eigvalsh(sigma - rho.matrix).min() >= -1e-9
 
     def test_random_operator_schmidt_dominates(self):
-        from entbound.measures import operator_schmidt_decomposition
-
         rho = faithful_2x2(11)
         dec = operator_schmidt_decomposition(rho)
         dec.check_reconstructs(rho)
@@ -354,7 +355,7 @@ class TestLogDominance:
         assert abs(log_dominance_upper(rho).value) <= 1e-10
 
     def test_phi_plus_n3(self):
-        res = log_dominance_upper(maximally_entangled(3), "matrix_unit")
+        res = log_dominance_upper(maximally_entangled(3))
         assert abs(res.value - math.log(3)) <= 1e-9
 
     def test_er_chain_inequality(self):
@@ -370,9 +371,11 @@ class TestLogDominance:
 
     def test_certificate_reverifies(self):
         rho = faithful_2x2(19)
-        for strategy in ("matrix_unit", "operator_schmidt"):
-            res = log_dominance_upper(rho, strategy)
-            verify_certificate(rho, res)
+        verify_certificate(rho, log_dominance_upper(rho))
+        # an independent decomposition re-verifies as an EN certificate too
+        dec = operator_schmidt_decomposition(rho)
+        _, mu = dominating_separable(dec)
+        verify_certificate(rho, MeasureResult("EN", float(np.log(mu)), UPPER, certificate=dec))
 
 
 class TestModularNuclearity:

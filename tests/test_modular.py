@@ -10,8 +10,8 @@ from entbound.linalg import (
     pure_state,
     random_density_matrix,
 )
-from entbound.modular import (
-    ModularError,
+from entbound.modular import ModularError, relative_entropy
+from oracles import (
     apply_kraus,
     araki_relative_entropy,
     cocycle_derivative,
@@ -21,7 +21,6 @@ from entbound.modular import (
     natural_cone_rep,
     powers_stormer_gap,
     random_kraus_family,
-    relative_entropy,
 )
 
 
