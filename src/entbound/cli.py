@@ -28,10 +28,15 @@ def _fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
+# the most points a 'lo..hi..step' sweep range may hold
+MAX_SWEEP_POINTS = 100_000
+
+
 def parse_points(spec: str, integer: bool = False):
     """Parse a sweep spec: 'lo..hi', 'lo..hi..step', or a comma list.
 
-    A nan or infinite bound, step or point raises ``ValueError``.
+    A nan or infinite bound, step or point, or a range of more than
+    ``MAX_SWEEP_POINTS`` points, raises ``ValueError``.
     """
     if ".." in spec:
         values = [float(p) for p in spec.split("..")]
@@ -45,7 +50,10 @@ def parse_points(spec: str, integer: bool = False):
         lo, hi, step = values if len(values) == 3 else (*values, 1.0)
         if step <= 0:
             raise ValueError("range step must be positive")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step + 1e-9
+        if not span < MAX_SWEEP_POINTS:  # an infinite count fails too
+            raise ValueError(f"range {spec!r} holds more than {MAX_SWEEP_POINTS} points")
+        n = int(math.floor(span)) + 1
         pts = [lo + k * step for k in range(n)]
     else:
         pts = values
@@ -164,6 +172,9 @@ def cmd_gaussian(args) -> int:
 
     geom = gaussian_mod.LatticeGeometry(args.sites, args.spacing, args.mass, args.boundary)
     a_lo, a_hi = (int(x) for x in args.region_a.split(".."))
+    if not 0 <= a_lo <= a_hi < geom.sites:
+        raise ValueError(f"--regionA {args.region_a} must be a range within sites "
+                         f"0..{geom.sites - 1}")
     region_a = tuple(range(a_lo, a_hi + 1))
     gaps = parse_points(args.gap, integer=True)
     state = gaussian_mod.build_state(geom)
@@ -171,7 +182,7 @@ def cmd_gaussian(args) -> int:
 
     def one(gap):
         try:
-            row = gaussian_mod.decay_row(state, region_a, gap, args.trials)
+            row = gaussian_mod.decay_row(state, region_a, gap, args.trials > 0)
         except ValueError as exc:
             return {"gap_sites": gap, "r": gap * geom.spacing, "error": str(exc)}
         return dict(zip(header, row), error="")
@@ -253,6 +264,8 @@ def _load_spectrum(path: str):
             raise ValueError(f"{path}, line {lineno}: non-numeric spectrum row {line!r}") from None
         if not all(math.isfinite(x) for x in nums):
             raise ValueError(f"{path}, line {lineno}: non-finite spectrum row {line!r}")
+        if len(nums) in (2, 4) and not nums[-1].is_integer():
+            raise ValueError(f"{path}, line {lineno}: multiplicity {parts[-1]!r} is not an integer")
         if len(nums) == 4:
             rows_scalar.append(cft_mod.SpectrumRow(nums[0], nums[1], nums[2], int(nums[3])))
         elif len(nums) == 2:

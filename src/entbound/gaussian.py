@@ -32,8 +32,8 @@ class LatticeGeometry:
     def __post_init__(self) -> None:
         if self.sites < 8:
             raise GaussianError("need at least 8 sites")
-        if self.spacing <= 0 or self.mass <= 0:
-            raise GaussianError("spacing and mass must be positive")
+        if not all(0 < v < math.inf for v in (self.spacing, self.mass)):
+            raise GaussianError("spacing and mass must be positive and finite")
         if self.mass * self.spacing >= 2.0:
             # mass gap comparable to the lattice cutoff: correlation lengths
             # below one spacing are not resolved; still algebraically valid
@@ -61,7 +61,6 @@ class RegionSpec:
 @dataclass(frozen=True)
 class LatticeGaussianState:
     geometry: LatticeGeometry
-    c_matrix: np.ndarray
     powers: dict = field(repr=False)
 
     def c_power(self, p: float) -> np.ndarray:
@@ -85,19 +84,18 @@ def build_state(geom: LatticeGeometry) -> LatticeGaussianState:
         raise GaussianError("kinetic operator is not positive definite")
     cw = 1.0 / w
     powers = {p: (v * cw**p) @ v.T for p in (1.0, 0.5, -0.5, 0.25, -0.25)}
-    c = powers[1.0]
     ident = powers[0.5] @ powers[-0.5]
     if np.linalg.norm(ident - np.eye(geom.sites)) > 1e-9 * geom.sites:
         raise GaussianError("fractional powers do not invert; spectrum ill-conditioned")
-    return LatticeGaussianState(geometry=geom, c_matrix=c, powers=powers)
+    return LatticeGaussianState(geometry=geom, powers=powers)
 
 
 def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases U_+ and U_- (n x rank) of the C^{-1/4} / C^{+1/4}
     spans of the region's site columns; the projectors are U U^T."""
     idx = sorted(set(int(i) for i in indices))
-    if not idx:
-        raise GaussianError("region must be nonempty")
+    if not idx or idx[0] < 0 or idx[-1] >= state.geometry.sites:
+        raise GaussianError(f"region must be a nonempty set of sites in 0..{state.geometry.sites - 1}")
     out = []
     for p in (-0.25, 0.25):
         cols = state.c_power(p)[:, idx]
@@ -125,6 +123,8 @@ def principal_cosines(state: LatticeGaussianState, regions: RegionSpec) -> tuple
     while B's bases keep their full rank.
     """
     n = state.geometry.sites
+    if not set(regions.indices_a + regions.indices_b) <= set(range(n)):
+        raise GaussianError(f"region sites must lie in 0..{n - 1}")
     bprime = sorted(set(range(n)) - set(regions.indices_b))
     ua = region_projectors(state, regions.indices_a)
     ub = region_projectors(state, bprime)
@@ -135,13 +135,14 @@ def principal_cosines(state: LatticeGaussianState, regions: RegionSpec) -> tuple
     return cosines, full
 
 
-def kg_upper_bound(state: LatticeGaussianState, regions: RegionSpec) -> float:
+def kg_upper_bound(cosines: list[np.ndarray]) -> float:
     """Entanglement upper bound -4 sum_k log(1 - sqrt(c_k)) over the
-    principal cosines c_k of both sectors; all must stay below one, which
-    fails only when the regions are too close for the lattice to resolve.
+    principal cosines c_k of both sectors (from ``principal_cosines``); all
+    must stay below one, which fails only when the regions are too close
+    for the lattice to resolve.
     """
     total = 0.0
-    for c in principal_cosines(state, regions)[0]:
+    for c in cosines:
         if c.size and c[0] >= 1.0 - 1e-9:
             raise GaussianError("regions too close for lattice resolution (overlap saturates)")
         total += -4.0 * float(np.sum(np.log1p(-np.sqrt(c))))
@@ -185,8 +186,9 @@ def weyl_two_point(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) ->
     )
 
 
-def correlator_lower_bound(state: LatticeGaussianState, regions: RegionSpec) -> float:
-    """Weyl-correlator lower bound s(x*) on the mutual information.
+def correlator_lower_bound(cosines: list[np.ndarray], full: bool, sites: int) -> float:
+    """Weyl-correlator lower bound s(x*) on the mutual information, from the
+    cosines and truncation flag that ``principal_cosines`` gives on ``sites`` sites.
 
     Take the principal pair (f, g) of region data at the largest principal
     cosine c of the two sectors, both scaled to covariance u.  Data on
@@ -198,9 +200,8 @@ def correlator_lower_bound(state: LatticeGaussianState, regions: RegionSpec) -> 
     truncated the cosines may overshoot, and a cosine within n ulps of zero
     is round-off; both give 0, which is always a lower bound.
     """
-    cosines, full = principal_cosines(state, regions)
     c = max(float(cs[0]) if cs.size else 0.0 for cs in cosines)
-    if not full or not state.geometry.sites * np.finfo(float).eps < c < 1.0:
+    if not full or not sites * np.finfo(float).eps < c < 1.0:
         return 0.0
     x = 0.5 * c * math.exp((1.0 - c) / c * math.log1p(-c))
     return float(gap_table()(x))
@@ -210,16 +211,15 @@ def decay_row(
     state: LatticeGaussianState,
     region_a: tuple[int, ...],
     gap: int,
-    trials: int = 0,
+    lower: bool = False,
 ) -> tuple[int, float, float, float]:
     """(gap_sites, separation r, upper_bound, lower_bound) at one A-B gap.
 
-    B is everything beyond the gap to the right of A; the lower bound is 0
-    unless ``trials`` > 0 switches the Weyl-correlator bound on.  Its value
-    does not depend on ``trials``.
+    B is everything beyond the gap to the right of A.  One set of principal
+    cosines feeds both bounds; the Weyl-correlator one is 0 unless ``lower``.
     """
-    start_b = max(region_a) + 1 + int(gap)
-    regions = RegionSpec(tuple(region_a), tuple(range(start_b, state.geometry.sites)))
-    upper = kg_upper_bound(state, regions)
-    lower = correlator_lower_bound(state, regions) if trials > 0 else 0.0
-    return int(gap), gap * state.geometry.spacing, upper, lower
+    n = state.geometry.sites
+    region_b = range(max(region_a) + 1 + int(gap), n)
+    cosines, full = principal_cosines(state, RegionSpec(tuple(region_a), tuple(region_b)))
+    return (int(gap), gap * state.geometry.spacing, kg_upper_bound(cosines),
+            correlator_lower_bound(cosines, full, n) if lower else 0.0)

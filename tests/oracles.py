@@ -959,7 +959,7 @@ def decay_sweep(
     geom: LatticeGeometry,
     region_a: tuple[int, ...],
     gaps,
-    trials: int = 0,
+    lower: bool = False,
 ):
     """Upper (and optional lower) bounds versus the A-B gap in sites.
 
@@ -973,7 +973,7 @@ def decay_sweep(
     for gap in gaps:
         if max(region_a) + 1 + int(gap) >= geom.sites - 1:
             raise GaussianError(f"gap {gap} leaves no room for region B")
-        rows.append(decay_row(state, region_a, gap, trials))
+        rows.append(decay_row(state, region_a, gap, lower))
     return rows
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -64,6 +65,24 @@ class TestParsePoints:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["0..1..1e-320", "0..1e12", "-1e308..1e308..1e-10",
+                                      f"0..{cli.MAX_SWEEP_POINTS}"])
+    def test_range_over_the_point_cap_raises(self, spec):
+        # counted before any point is built: the first spec's count overflows
+        # to inf, the second would hold 10^12 + 1 points
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            parse_points(spec)
+
+    def test_range_at_the_point_cap(self):
+        pts = parse_points(f"1..{cli.MAX_SWEEP_POINTS}", integer=True)
+        assert len(pts) == cli.MAX_SWEEP_POINTS and pts[-1] == cli.MAX_SWEEP_POINTS
+
+    def test_extreme_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["integrable", "--mR", "0..1..1e-320", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: range '0..1..1e-320' holds more than")
         assert not out.exists()
 
 
@@ -437,6 +456,18 @@ class TestOtherCommands:
         assert main(["cft", "--spectrum-file", str(spec), "--ratio", "0.01"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {spec}, line 3: ")
 
+    @pytest.mark.parametrize("rows, option, bad", [
+        ("0,0,0,1\n1.0,0,0,1.7\n", "--ratio=0.001", "'1.7'"),
+        ("0,1\n1,2.5\n", "--chiral=-1,0,5,6", "'2.5'"),
+    ])
+    def test_fractional_multiplicity_is_an_error(self, rows, option, bad, tmp_path, capsys):
+        # int() would truncate it and bound a different spectrum
+        spec = tmp_path / "spec.csv"
+        spec.write_text(rows)
+        assert main(["cft", option, "--spectrum-file", str(spec)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}, line 2: multiplicity {bad} is not an integer\n")
+
     def test_spectrum_header_is_skipped(self, tmp_path, capsys):
         spec = tmp_path / "spec.csv"
         spec.write_text("delta,sL,sR,mult\n\n0,0,0,1\n1.0,0,0,1\n")
@@ -574,6 +605,21 @@ class TestErrorExit:
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("option, match", [
+        (["--mass", "nan"], "positive and finite"),
+        (["--spacing", "inf"], "positive and finite"),
+        (["--regionA=-3..2"], "--regionA -3..2 must be a range within sites 0..63"),
+        (["--regionA", "60..64"], "must be a range within sites 0..63"),
+        (["--regionA", "9..4"], "must be a range within sites 0..63"),
+    ])
+    def test_bad_gaussian_input_exits_1(self, option, match, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["gaussian", "--sites", "64", "--regionA", "4..9", "--gap", "2..4"]
+        assert main(argv + option + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert not out.exists()
+
     def test_unknown_measure_rejected_before_computing(self, phi_plus_file, tmp_path,
                                                        monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -611,3 +657,36 @@ class TestPackageSurface:
 
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
             entbound.not_a_name
+
+
+def _module_level_imports(tree: ast.Module):
+    """``from ... import`` statements outside every function and class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ImportFrom):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+class TestTracedNamesImportedByModule:
+    """The benchmark tracer rebinds each traced function in the entbound
+    modules loaded before its own imports; a domain module that binds one by
+    name at import time keeps the unwrapped function, and its calls go
+    unrecorded.  Such modules must call through the defining module."""
+
+    def test_no_module_imports_a_traced_function_by_name(self):
+        root = Path(cli.__file__).resolve().parents[2]
+        tracer = ast.parse((root / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+        targets = next(node.value for node in tracer.body if isinstance(node, ast.Assign)
+                       and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+        traced = {(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts}
+        assert ("entbound.bounds", "gap_s") in traced
+        bad = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8"))):
+                source = ".".join(filter(None, ["entbound" if node.level else "", node.module]))
+                bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                        if (source, a.name) in traced]
+        assert not bad

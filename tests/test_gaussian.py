@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entbound import config
+from entbound import config, gaussian
 from entbound.bounds import gap_s
 from entbound.gaussian import (
     GaussianError,
@@ -37,6 +37,14 @@ def small_state(sites=16, mass=1.0, spacing=1.0, boundary="dirichlet"):
     return build_state(LatticeGeometry(sites, spacing, mass, boundary))
 
 
+def upper_of(state, regions):
+    return kg_upper_bound(principal_cosines(state, regions)[0])
+
+
+def lower_of(state, regions):
+    return correlator_lower_bound(*principal_cosines(state, regions), state.geometry.sites)
+
+
 class TestBuildState:
     def test_dirichlet_matches_dense_inverse(self):
         geom = LatticeGeometry(8, 1.0, 1.0, "dirichlet")
@@ -49,19 +57,19 @@ class TestBuildState:
                 k[i, i + 1] = -1.0
                 k[i + 1, i] = -1.0
         want = np.linalg.inv(k)
-        assert np.linalg.norm(state.c_matrix - want) <= 1e-10
+        assert np.linalg.norm(state.c_power(1.0) - want) <= 1e-10
 
     def test_large_mass_limit(self):
         with pytest.warns(UserWarning, match="mass-dominated"):
             geom = LatticeGeometry(12, 1.0, 50.0, "dirichlet")
         state = build_state(geom)
         scale = np.linalg.norm(np.eye(12) / 50.0**2)
-        assert np.linalg.norm(state.c_matrix - np.eye(12) / 50.0**2) <= 0.01 * scale
+        assert np.linalg.norm(state.c_power(1.0) - np.eye(12) / 50.0**2) <= 0.01 * scale
 
     def test_periodic_circulant_eigenvalues(self):
         n, a, m = 16, 0.5, 1.0
         state = build_state(LatticeGeometry(n, a, m, "periodic"))
-        w = np.sort(np.linalg.eigvalsh(state.c_matrix))
+        w = np.sort(np.linalg.eigvalsh(state.c_power(1.0)))
         want = np.sort([1.0 / (m**2 + 4.0 * math.sin(math.pi * k / n) ** 2 / a**2) for k in range(n)])
         assert np.allclose(w, want, atol=1e-12)
 
@@ -72,7 +80,7 @@ class TestBuildState:
 
     def test_capacity_norm_bounded_by_mass(self):
         state = small_state(mass=0.7)
-        top = np.linalg.eigvalsh(state.c_matrix).max()
+        top = np.linalg.eigvalsh(state.c_power(1.0)).max()
         assert top <= 1.0 / 0.7**2 + 1e-9
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -161,7 +169,7 @@ class TestKgUpperBound:
         b = tuple(range(30, 48))
         vals = []
         for a_end in (8, 10, 12):
-            vals.append(kg_upper_bound(state, RegionSpec(tuple(range(4, a_end)), b)))
+            vals.append(upper_of(state, RegionSpec(tuple(range(4, a_end)), b)))
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
     def test_decay_slope(self):
@@ -248,13 +256,13 @@ class TestCorrelatorLowerBound:
     def test_far_regions_tiny(self):
         state = build_state(LatticeGeometry(48, 1.0, 1.0, "dirichlet"))
         regions = RegionSpec((0, 1, 2), (45, 46, 47))
-        val = correlator_lower_bound(state, regions)
+        val = lower_of(state, regions)
         assert val <= 1e-6
 
     def test_adjacent_regions_visible(self):
         state = build_state(LatticeGeometry(32, 1.0, 0.5, "dirichlet"))
         regions = RegionSpec(tuple(range(4, 15)), tuple(range(16, 28)))
-        val = correlator_lower_bound(state, regions)
+        val = lower_of(state, regions)
         assert val > 1e-4
 
     def test_zero_data_contributes_zero(self):
@@ -268,13 +276,29 @@ class TestCorrelatorLowerBound:
     def test_nonnegative(self):
         state = small_state()
         regions = RegionSpec((1, 2), (8, 9))
-        assert correlator_lower_bound(state, regions) >= 0.0
+        assert lower_of(state, regions) >= 0.0
 
-    def test_trials_only_switch_the_bound_on(self, lattice_state):
-        rows = [decay_row(lattice_state, tuple(range(24, 40)), 10, trials) for trials in (0, 1, 48)]
+    def test_lower_switches_the_bound_on(self, lattice_state):
+        rows = [decay_row(lattice_state, tuple(range(24, 40)), 10, lower) for lower in (False, True)]
         assert rows[0][3] == 0.0
-        assert rows[1] == rows[2] and rows[1][3] > 0.0
+        assert rows[1][3] == lower_of(lattice_state, sweep_regions(10)) and rows[1][3] > 0.0
         assert rows[0][:3] == rows[1][:3]
+        assert rows[0][2] == upper_of(lattice_state, sweep_regions(10))
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_row_computes_its_cosines_once(self, lattice_state, monkeypatch, lower):
+        # both bounds share one set of cosines, so each row builds two bases:
+        # region A (16 sites) and the complement of B, sites 0 .. 40 + gap - 1
+        calls = []
+
+        def counted(state, indices):
+            calls.append(len(indices))
+            return region_projectors(state, indices)
+
+        monkeypatch.setattr(gaussian, "region_projectors", counted)
+        for gap in (6, 14):
+            decay_row(lattice_state, tuple(range(24, 40)), gap, lower)
+        assert calls == [16, 46, 16, 54]
 
 
 class TestPrincipalCosines:
@@ -297,7 +321,7 @@ class TestPrincipalCosines:
         # moves the bound by up to 6.7e-7 relative on the lattice sweep
         state, regions = config_case(case, lattice_state)
         want = kg_upper_bound_projectors(state, regions)
-        assert abs(kg_upper_bound(state, regions) - want) <= 2e-6 * want
+        assert abs(upper_of(state, regions) - want) <= 2e-6 * want
 
     def test_rank_truncated_region_gives_zero(self, lattice_state):
         regions = sweep_regions(6)
@@ -306,7 +330,7 @@ class TestPrincipalCosines:
             with pytest.warns(UserWarning, match="numerically dependent"):
                 cosines, full = principal_cosines(lattice_state, regions)
             with pytest.warns(UserWarning, match="numerically dependent"):
-                lower = correlator_lower_bound(lattice_state, regions)
+                lower = lower_of(lattice_state, regions)
         finally:
             config.PROFILE.reset(token)
         assert not full and lower == 0.0
@@ -324,20 +348,20 @@ class TestCorrelatorClosedForm:
     def test_matches_loop_on_lattice_sweep(self, lattice_state, gap):
         regions = sweep_regions(gap)
         want = correlator_lower_bound_loop(lattice_state, regions, trials=48, seed=0)
-        got = correlator_lower_bound(lattice_state, regions)
-        assert 0.0 < want <= got <= kg_upper_bound(lattice_state, regions)
+        got = lower_of(lattice_state, regions)
+        assert 0.0 < want <= got <= upper_of(lattice_state, regions)
 
     def test_matches_loop_adjacent_regions(self, lattice_state):
         state, regions = config_case("adjacent", lattice_state)
         want = correlator_lower_bound_loop(state, regions, trials=256, seed=0)
-        got = correlator_lower_bound(state, regions)
-        assert 0.0 < want <= got <= kg_upper_bound(state, regions)
+        got = lower_of(state, regions)
+        assert 0.0 < want <= got <= upper_of(state, regions)
 
     def test_matches_loop_periodic_chain(self, lattice_state):
         state, regions = config_case("periodic", lattice_state)
         want = correlator_lower_bound_loop(state, regions, trials=64, seed=2)
-        got = correlator_lower_bound(state, regions)
-        assert 1e-6 < want <= got <= kg_upper_bound(state, regions)
+        got = lower_of(state, regions)
+        assert 1e-6 < want <= got <= upper_of(state, regions)
 
     def test_far_regions_at_round_off_floor(self):
         # every cosine here is round-off (the Gram matrix's top singular value
@@ -345,7 +369,7 @@ class TestCorrelatorClosedForm:
         state = build_state(LatticeGeometry(48, 1.0, 1.0, "dirichlet"))
         regions = RegionSpec((0, 1, 2), (45, 46, 47))
         want = correlator_lower_bound_loop(state, regions, trials=64, seed=0)
-        got = correlator_lower_bound(state, regions)
+        got = lower_of(state, regions)
         assert got == 0.0
         assert abs(got - want) <= 1e-20
 
@@ -354,7 +378,7 @@ class TestCorrelatorClosedForm:
         state, regions = config_case(case, lattice_state)
         c1 = np.linalg.svd(principal_gram(state, regions)[0], compute_uv=False)[0]
         want = gap_s(optimal_x(c1))
-        assert abs(correlator_lower_bound(state, regions) - want) <= 1e-10 * want
+        assert abs(lower_of(state, regions) - want) <= 1e-10 * want
 
     @pytest.mark.parametrize("c", [1e-4, 0.01, 0.0785, 0.3, 0.7, 0.95])
     def test_optimum_maximises_pair_correlator(self, c):
@@ -385,7 +409,7 @@ class TestCorrelatorClosedForm:
         u_star = -math.log1p(-c) / c
         fs, gs = math.sqrt(u_star) * f, math.sqrt(u_star) * g
         corr = weyl_two_point(state, fs, gs) - weyl_expectation(state, fs) * weyl_expectation(state, gs)
-        got = correlator_lower_bound(state, regions)
+        got = lower_of(state, regions)
         assert abs(0.5 * abs(corr) - optimal_x(c)) <= 1e-10 * optimal_x(c)
         assert abs(gap_s(0.5 * abs(corr)) - got) <= 1e-9 * got
 
@@ -427,3 +451,18 @@ class TestRegionSpecValidation:
     def test_empty_rejected(self):
         with pytest.raises(GaussianError):
             RegionSpec((), (1,))
+
+    @pytest.mark.parametrize("a, b", [((-3, -2), (5, 6)), ((1, 2), (15, 16)), ((1, 2), (-1,))])
+    def test_sites_outside_the_chain_rejected(self, a, b):
+        # numpy would wrap a negative index round to the far end of the chain
+        state = small_state()
+        with pytest.raises(GaussianError, match="0..15"):
+            principal_cosines(state, RegionSpec(a, b))
+        with pytest.raises(GaussianError, match="0..15"):
+            region_projectors(state, a + b)
+
+    @pytest.mark.parametrize("spacing, mass", [(1.0, math.nan), (math.nan, 1.0),
+                                               (math.inf, 1.0), (1.0, math.inf), (1.0, -1.0)])
+    def test_geometry_rejects_non_finite_or_non_positive(self, spacing, mass):
+        with pytest.raises(GaussianError, match="positive and finite"):
+            LatticeGeometry(16, spacing, mass)
