@@ -200,10 +200,12 @@ class PackingConfig:
     length_b: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise BoundsError("corridor width must be positive")
-        if self.d2 < 0:
-            raise BoundsError("distillable entropy parameter must be nonnegative")
+        for name in ("eps", "length_a", "length_b"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise BoundsError(f"{name} must be positive and finite, got {value}")
+        for name in ("d2", "boundary_area"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise BoundsError(f"{name} must be nonnegative and finite, got {value}")
         if self.d < 1:
             raise BoundsError("spatial dimension must be at least 1")
 

@@ -270,18 +270,6 @@ def chiral_bound(l0_spectrum, intervals) -> float:
     return math.log(total)
 
 
-def cardy_degeneracies(central_charge: float, k_max: int):
-    """Synthetic chiral spectrum whose character saturates the growth
-    log Tr = c pi^2/(6 tau): level density (c/(96 k^3))^(1/4) e^(2 pi
-    sqrt(c k / 6)); for diagnostics and tests."""
-    rows = [(0, 1)]
-    c = central_charge
-    for k in range(1, k_max + 1):
-        density = (c / (96.0 * k**3)) ** 0.25 * math.exp(2.0 * math.pi * math.sqrt(c * k / 6.0))
-        rows.append((k, max(round(density), 0)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # closed-form nuclearity bound shapes
 
@@ -319,13 +307,6 @@ def kms_power_law(coefficient: float, alpha: float, r: float) -> float:
     if alpha <= 1.0:
         raise CftError("need alpha > 1")
     return coefficient * r ** (1.0 - alpha)
-
-
-def massless_power_law(coefficient: float, alpha: float, r: float) -> float:
-    """Massless decay shape C * R^(-alpha)."""
-    if alpha <= 1.0:
-        raise CftError("need alpha > 1")
-    return coefficient * r ** (-alpha)
 
 
 def massless_free_scalar_power(coefficient: float, d: int, r: float) -> float:

@@ -207,7 +207,7 @@ def cmd_integrable(args) -> int:
     def one(mr):
         row = {"mR": mr, "error": ""}
         try:
-            res = integrable_mod.vacuum_bound(s_matrix, 1.0, mr, args.kappa, args.delta)
+            res = integrable_mod.vacuum_bound(s_matrix, mr, args.kappa, args.delta)
             row["converged"] = int(res.converged)
             if res.converged:
                 row["nu"] = res.nu
@@ -462,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_lower)
 
-    p = sub.add_parser("sweep", help="alias for the domain sweep subcommands")
-    p.add_argument("domain", choices=["gaussian", "integrable", "dirac"])
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(func=None)
-
     p = sub.add_parser("replay", help="re-run a manifest")
     p.add_argument("manifest")
     p.add_argument("--out")
@@ -486,8 +481,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._raw_argv = argv
-    if args.subcommand == "sweep":
-        return main(["--tol-profile", args.tol_profile, args.domain] + args.rest)
     token = config.PROFILE.set(config.PROFILES[args.tol_profile])
     try:
         return args.func(args)

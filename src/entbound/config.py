@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # absolute tolerance for structural invariants (trace one, hermiticity, ...)
+    # absolute tolerance on the trace of a density matrix
     structural_abs: float = 1e-10
-    # relative tolerance for reconstructions (V L V^† vs input, ...)
+    # times 1e-3, the relative Hermiticity tolerance of linalg.is_hermitian
     reconstruction_rel: float = 1e-9
     # eigenvalues in [-psd_slack, 0] are treated as zero; below is an error
     psd_slack: float = 1e-10
@@ -31,8 +31,10 @@ class Tolerances:
 
 STRICT = Tolerances()
 
-# lattice profile: quadrature / discretization noise is larger than pure
-# linear-algebra round-off, so structural checks get more slack
+# lattice profile: more slack for density matrices built from lattice data.
+# It differs from STRICT only in structural_abs and psd_slack, which only
+# linalg reads (state validation and matrix_power_psd), so it changes nothing
+# in the gaussian, integrable or dirac commands
 LATTICE = replace(STRICT, structural_abs=1e-8, psd_slack=1e-8)
 
 PROFILES = {"strict": STRICT, "lattice": LATTICE}

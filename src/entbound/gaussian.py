@@ -149,43 +149,6 @@ def kg_upper_bound(cosines: list[np.ndarray]) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# quasi-free Weyl correlators
-
-
-def _kappa_map(state: LatticeGaussianState, f: np.ndarray) -> np.ndarray:
-    """One-particle vector C^{1/4} p - i C^{-1/4} q of initial data (q, p)."""
-    n = state.geometry.sites
-    q, p = f[:n], f[n:]
-    return state.c_power(0.25) @ p - 1j * (state.c_power(-0.25) @ q)
-
-
-def symplectic_form(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) -> float:
-    n = state.geometry.sites
-    a = state.geometry.spacing
-    return float(a * (f[:n] @ g[n:] - g[:n] @ f[n:]))
-
-
-def covariance_form(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) -> float:
-    a = state.geometry.spacing
-    return float(0.5 * a * np.vdot(_kappa_map(state, f), _kappa_map(state, g)).real)
-
-
-def weyl_expectation(state: LatticeGaussianState, f: np.ndarray) -> complex:
-    return complex(np.exp(-0.5 * covariance_form(state, f, f)))
-
-
-def weyl_two_point(state: LatticeGaussianState, f: np.ndarray, g: np.ndarray) -> complex:
-    """Expectation of the product of two Weyl operators in the ground state."""
-    n = state.geometry.sites
-    if len(f) != 2 * n or len(g) != 2 * n:
-        raise GaussianError("initial data vectors must have length 2 * sites")
-    fg = f + g
-    return complex(
-        np.exp(-0.5j * symplectic_form(state, f, g) - 0.5 * covariance_form(state, fg, fg))
-    )
-
-
 def correlator_lower_bound(cosines: list[np.ndarray], full: bool, sites: int) -> float:
     """Weyl-correlator lower bound s(x*) on the mutual information, from the
     cosines and truncation flag that ``principal_cosines`` gives on ``sites`` sites.

@@ -6,9 +6,10 @@ imaginary rapidity axis, and its strip norm is the closed-form product of
 each factor's peak on the strip boundary.  The rapidity-space kernel T is
 evaluated by Gauss-Legendre Nystrom discretization; every T trace norm
 passes a mandatory grid-doubling convergence check, doubling from 24 nodes
-until two successive values agree.  On the symmetric grid the Nystrom
-matrix K satisfies J K J = conj(K), J the index reversal, so the real matrix
-Re K + J Im K, unitarily similar to K, is built and decomposed instead.
+to at most 192 until two successive values agree.  On the symmetric grid
+the Nystrom matrix K satisfies J K J = conj(K), J the index reversal, so the
+real matrix Re K + J Im K, unitarily similar to K, is built and decomposed
+instead.
 Only the Nystrom functions import numpy; the vacuum bound and its Bessel
 function are plain floating-point sums.
 """
@@ -81,8 +82,8 @@ def strip_sup_norm(s: SMatrix, kappa: float) -> float:
     sin^2 b_k - cos^2 kappa - c^2 < 0.  So each factor peaks at Re z = 0, at
     (sin b_k + sin kappa)/(sin b_k - sin kappa).
     """
-    if kappa <= 0:
-        raise IntegrableError("strip width must be positive")
+    if not 0 < kappa < math.inf:
+        raise IntegrableError(f"strip width kappa must be positive and finite, got {kappa}")
     if kappa >= s.min_pole:
         raise IntegrableError(
             f"kappa={kappa} reaches the first pole b={s.min_pole}; need kappa < min b_k"
@@ -106,8 +107,8 @@ def bessel_k0(x: float) -> float:
     integrand has fallen below e^{-40}.  The terms are summed with
     ``math.fsum``, which rounds their exact sum once.
     """
-    if x <= 0:
-        raise IntegrableError("argument must be positive")
+    if not 0 < x < math.inf:
+        raise IntegrableError(f"argument must be positive and finite, got {x}")
     d = math.pi / 3
     h = 2.0 * math.pi * d / (x * (1.0 - math.cos(d)) + 45.0)
     n = int(math.acosh(1.0 + 40.0 / x) / h)
@@ -119,77 +120,58 @@ def bessel_k0(x: float) -> float:
 # Nystrom kernels
 
 
-@dataclass(frozen=True)
-class KernelGrid:
-    """Gauss-Legendre rule on a symmetric interval [-theta_max, theta_max]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    theta_max: float
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        if np.any(self.weights <= 0) or np.any(np.diff(self.nodes) <= 0):
-            raise IntegrableError("grid must have positive weights and ascending nodes")
-        # the real form of t_kernel_matrix pairs node i with node n-1-i
-        if not (np.array_equal(self.nodes, -self.nodes[::-1])
-                and np.array_equal(self.weights, self.weights[::-1])):
-            raise IntegrableError("grid must have antisymmetric nodes and symmetric weights")
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
+# node counts of the trace norm's grid-doubling schedule
+NODE_COUNTS = (24, 48, 96, 192)
 
 
 @functools.lru_cache(maxsize=8)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    The real form of ``t_kernel_matrix`` pairs node i with node n-1-i, so
+    the rule must have antisymmetric nodes and symmetric weights; scaling
+    both by theta_max keeps that exactly.
+    """
     import numpy as np
 
     # looked up at call time, so a wrapper put on leggauss (to count calls) applies
     x, w = np.polynomial.legendre.leggauss(n)
+    if not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
+        raise IntegrableError("Legendre rule must have antisymmetric nodes and symmetric weights")
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def make_grid_for_theta(theta_max: float, n: int) -> KernelGrid:
-    x, w = legendre_rule(n)
-    return KernelGrid(nodes=x * theta_max, weights=w * theta_max, theta_max=theta_max)
-
-
-def theta_cutoff(s: float, tail: float = 1e-14) -> float:
-    """Truncation theta_max that keeps exp(-s cosh(theta)/2) below ``tail``."""
+def theta_cutoff(s: float) -> float:
+    """Truncation theta_max that keeps exp(-s cosh(theta)/2) below 1e-14."""
     if s <= 0:
         raise IntegrableError("decay parameter must be positive")
-    target = 2.0 * math.log(1.0 / tail) / s
+    target = 2.0 * math.log(1e14) / s
     return math.acosh(max(target, math.cosh(1.0)))
 
 
-def make_grid(s: float, n: int = 96, tail: float = 1e-14) -> KernelGrid:
-    """Grid whose truncation keeps exp(-s cosh(theta)/2) below ``tail``."""
-    return make_grid_for_theta(theta_cutoff(s, tail), n)
-
-
-def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
+def t_kernel_matrix(kappa: float, s: float, n: int, theta_max: float) -> np.ndarray:
     """Real Nystrom matrix with the singular values of the half-smeared Cauchy kernel.
 
-    The complex Nystrom matrix is K_ij = -sign(kappa) sw_i d_i sw_j /
-    (2 pi i (theta_j - theta_i + i kappa/2)), d_i = exp(-s cosh(theta_i)/2)
-    and sw_i the square-root weights.  On the symmetric grid theta_{n-1-i} =
-    -theta_i while sw and d are even, so J K J = conj(K) with J the index
-    reversal, and Q = (I + iJ)/sqrt(2) gives the real Q^* K Q = Re K + J Im K
-    (A. Lee, Linear Algebra Appl. 29, 205 (1980)).  With a = |kappa|/2 its
-    entries are sw_i d_i sw_j/(2 pi) * [a/(a^2 + (theta_j - theta_i)^2) +
-    sign(kappa) (theta_i + theta_j)/(a^2 + (theta_i + theta_j)^2)].
+    The n-node Gauss-Legendre rule on [-theta_max, theta_max] gives nodes
+    theta_i and weights w_i.  The complex Nystrom matrix is K_ij =
+    -sign(kappa) sw_i d_i sw_j / (2 pi i (theta_j - theta_i + i kappa/2)),
+    d_i = exp(-s cosh(theta_i)/2) and sw_i = sqrt(w_i).  On the symmetric
+    grid theta_{n-1-i} = -theta_i while sw and d are even, so J K J =
+    conj(K) with J the index reversal, and Q = (I + iJ)/sqrt(2) gives the
+    real Q^* K Q = Re K + J Im K (A. Lee, Linear Algebra Appl. 29, 205
+    (1980)).  With a = |kappa|/2 its entries are sw_i d_i sw_j/(2 pi) *
+    [a/(a^2 + (theta_j - theta_i)^2) + sign(kappa) (theta_i +
+    theta_j)/(a^2 + (theta_i + theta_j)^2)].
     """
     import numpy as np
 
     if kappa == 0 or s <= 0:
         raise IntegrableError("need kappa != 0 and s > 0")
-    th = grid.nodes
-    sw = np.sqrt(grid.weights)
+    x, w = legendre_rule(n)
+    th = x * theta_max
+    sw = np.sqrt(w * theta_max)
     damp = np.exp(-0.5 * s * np.cosh(th))
     a = 0.5 * abs(kappa)
     diff = th[None, :] - th[:, None]
@@ -198,37 +180,30 @@ def t_kernel_matrix(kappa: float, s: float, grid: KernelGrid) -> np.ndarray:
     return (sw * damp / (2.0 * math.pi))[:, None] * kern * sw[None, :]
 
 
-def t_kernel_trace_norm(kappa: float, s: float, nodes: int = 96, theta_max: float | None = None) -> float:
+def t_kernel_trace_norm(kappa: float, s: float) -> float:
     """Trace norm of the discretized T kernel with a grid-doubling check.
 
-    Gauss-Legendre rules on [-theta_max, theta_max] (``theta_cutoff(s)`` by
-    default) start at min(24, n) nodes, n = ``nodes``, and double (capped at
-    2n) until two successive values agree to 1e-12 relative or the cap is
-    reached; the finer value is returned.  The kernel is analytic in a strip,
-    so the values converge geometrically in the node count, and a last pair
-    that differs by more than 0.5% raises.
+    Gauss-Legendre rules on [-theta_cutoff(s), theta_cutoff(s)] run through
+    ``NODE_COUNTS`` until two successive values agree to 1e-12 relative or
+    the schedule ends; the finer value is returned.  The kernel is analytic
+    in a strip, so the values converge geometrically in the node count, and
+    a last pair that differs by more than 0.5% raises.
     """
     import numpy as np
 
-    theta_max = theta_cutoff(s) if theta_max is None else theta_max
+    theta_max = theta_cutoff(s)
 
     def norm_at(n: int) -> float:
-        g = make_grid_for_theta(theta_max, n)
-        return float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, g), compute_uv=False)))
+        return float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, n, theta_max), compute_uv=False)))
 
-    cap = 2 * nodes
-    n2 = min(24, nodes)
-    val2 = norm_at(n2)
-    while True:
-        n, val = n2, val2
-        n2 = min(2 * n, cap)
-        val2 = norm_at(n2)
-        if n2 == cap or abs(val2 - val) <= 1e-12 * abs(val2):
+    val2 = norm_at(NODE_COUNTS[0])
+    for n, n2 in zip(NODE_COUNTS, NODE_COUNTS[1:]):
+        val, val2 = val2, norm_at(n2)
+        if abs(val2 - val) <= 1e-12 * abs(val2):
             break
     if abs(val2 - val) > 0.005 * max(abs(val2), 1e-300):
         raise IntegrableError(
-            f"discretization not converged ({val} at {n} nodes vs {val2} at {n2} nodes); "
-            "increase nodes or theta_max"
+            f"discretization not converged ({val} at {n} nodes vs {val2} at {n2} nodes)"
         )
     return val2
 
@@ -247,16 +222,9 @@ class VacuumBoundResult:
     strip_norm: float
 
 
-def vacuum_bound(
-    s_matrix: SMatrix,
-    m: float,
-    radius: float,
-    kappa: float,
-    delta: float,
-    term_tol: float = 1e-16,
-    max_terms: int = 10_000,
-) -> VacuumBoundResult:
-    """Dominating-functional series bound for two wedges separated by R.
+def vacuum_bound(s_matrix: SMatrix, mr: float, kappa: float, delta: float) -> VacuumBoundResult:
+    """Dominating-functional series bound for two wedges separated by R, at
+    mass m, in terms of mr = m R.
 
     The particle-number expansion is summed as nu = 1 + sum_{n>=1} q^n *
     max(1, c^n * sqrt(K0(m R delta sin kappa))) with q the product of the
@@ -264,7 +232,7 @@ def vacuum_bound(
     entanglement bound is log nu, together with the closed-form asymptotic
     decay rate for comparison.  A geometric ratio at or above one raises the
     divergence flag instead of producing a value.  Summation stops once a
-    term falls below ``term_tol * nu`` or ``max_terms`` runs out; either way
+    term falls below 1e-16 nu or 10,000 terms are summed; either way
     the geometric tails past the last term are added, and nu is raised by
     2 (n + 2) units of round-off for the n running products and the running
     sum, so it stays an upper bound on the series.
@@ -272,10 +240,9 @@ def vacuum_bound(
     if not 0.0 < delta < 1.0:
         raise IntegrableError("delta must be in (0, 1)")
     norm = strip_sup_norm(s_matrix, kappa)
-    if m <= 0 or radius <= 0:
-        raise IntegrableError("mass and separation must be positive")
+    if not 0 < mr < math.inf:
+        raise IntegrableError(f"mR must be positive and finite, got {mr}")
     c = math.sqrt(norm)
-    mr = m * radius
     q1 = (4.0 * math.e * c / (kappa * math.pi)) * bessel_k0((1.0 - delta) * mr)
     kappa_factor = math.sqrt(bessel_k0(mr * delta * math.sin(kappa)))
     asymptotic = (4.0 * math.e / kappa) * math.sqrt(norm / (math.pi * mr)) * math.exp(-mr * (1.0 - delta))
@@ -289,13 +256,13 @@ def vacuum_bound(
     qn = 1.0
     qcn = 1.0
     n_terms = 0
-    for n in range(1, max_terms + 1):
+    for n in range(1, 10_001):
         qn *= q1
         qcn *= qc
         term = max(qn, qcn * kappa_factor)
         nu += term
         n_terms = n
-        if term < term_tol * nu:
+        if term < 1e-16 * nu:
             break
     # each later term is at most q^n + K (q c)^n, and q, q c < 1 here
     nu += qn * q1 / (1.0 - q1) + kappa_factor * qcn * qc / (1.0 - qc)
@@ -308,14 +275,15 @@ def vacuum_bound(
 # half-line Dirac bound
 
 
-def transverse_circle_spectrum(radius: float, eps: float, delta: float, cut: float = 1e-12):
+def transverse_circle_spectrum(radius: float, eps: float, delta: float):
     """Antiperiodic transverse eigenvalues (j + 1/2)/radius up to the cutoff
-    where exp(-eps * lam / (1 + delta)) drops below ``cut``."""
-    if radius <= 0 or eps <= 0:
-        raise IntegrableError("radius and eps must be positive")
-    if 1.0 + delta <= 0:
-        raise IntegrableError("delta must be above -1")
-    lam_max = (1.0 + delta) * math.log(1.0 / cut) / eps
+    where exp(-eps * lam / (1 + delta)) drops below 1e-12."""
+    for name, value in (("radius", radius), ("eps", eps)):
+        if not 0 < value < math.inf:
+            raise IntegrableError(f"{name} must be positive and finite, got {value}")
+    if not -1 < delta < math.inf:
+        raise IntegrableError(f"delta must be above -1 and finite, got {delta}")
+    lam_max = (1.0 + delta) * math.log(1e12) / eps
     out = []
     j = 0
     while (j + 0.5) / radius <= lam_max:
@@ -324,32 +292,27 @@ def transverse_circle_spectrum(radius: float, eps: float, delta: float, cut: flo
     return out
 
 
-def dirac_halfline_bound(
-    m: float,
-    eps: float,
-    transverse_spectrum=None,
-    nodes: int = 96,
-    contribution_floor: float = 1e-14,
-) -> float:
+def dirac_halfline_bound(m: float, eps: float, transverse_spectrum=None) -> float:
     """Entanglement bound for a half-line across a corridor of width eps.
 
     Each transverse mode contributes four times the trace norm of the
     kernel at kappa = pi and decay 2 * eps * sqrt(m^2 + lam^2); modes whose
-    contribution falls below the floor are dropped (monotone decreasing).
+    contribution falls below 1e-14 of the running total (or of 1) are
+    dropped, the contributions falling as the mass rises.
     ``transverse_spectrum`` None means no transverse circle (one mode of mass
     m); an empty spectrum, every mode above the cutoff, sums to 0.
-    ``nodes`` is each trace norm's pre-doubling grid size.
     """
-    if m <= 0 or eps <= 0:
-        raise IntegrableError("mass and corridor width must be positive")
+    for name, value in (("mass m", m), ("corridor width eps", eps)):
+        if not 0 < value < math.inf:
+            raise IntegrableError(f"{name} must be positive and finite, got {value}")
     masses = [m] if transverse_spectrum is None else [
         math.sqrt(m * m + lam * lam) for lam in transverse_spectrum
     ]
     total = 0.0
     for mj in sorted(masses):
         s = 2.0 * mj * eps
-        contrib = 4.0 * t_kernel_trace_norm(math.pi, s, nodes)
+        contrib = 4.0 * t_kernel_trace_norm(math.pi, s)
         total += contrib
-        if contrib < contribution_floor * max(total, 1.0):
+        if contrib < 1e-14 * max(total, 1.0):
             break
     return total

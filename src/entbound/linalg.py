@@ -84,11 +84,6 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(m))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive unit-trace Hermitian matrix with bipartite dimension metadata.

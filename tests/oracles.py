@@ -18,7 +18,6 @@ from entbound.linalg import (
     DensityMatrix,
     check_hermitian,
     eigh,
-    hs_norm,
     matrix_power_psd,
     trace_norm,
 )
@@ -181,11 +180,48 @@ def strip_sup_norm_scalar(s, kappa: float) -> float:
     return best
 
 
+# ---------------------------------------------------------------------------
+# quasi-free Weyl correlators of the lattice ground state, one form at a time
+
+
+def _kappa_map(state, f: np.ndarray) -> np.ndarray:
+    """One-particle vector C^{1/4} p - i C^{-1/4} q of initial data (q, p)."""
+    n = state.geometry.sites
+    q, p = f[:n], f[n:]
+    return state.c_power(0.25) @ p - 1j * (state.c_power(-0.25) @ q)
+
+
+def symplectic_form(state, f: np.ndarray, g: np.ndarray) -> float:
+    n = state.geometry.sites
+    a = state.geometry.spacing
+    return float(a * (f[:n] @ g[n:] - g[:n] @ f[n:]))
+
+
+def covariance_form(state, f: np.ndarray, g: np.ndarray) -> float:
+    a = state.geometry.spacing
+    return float(0.5 * a * np.vdot(_kappa_map(state, f), _kappa_map(state, g)).real)
+
+
+def weyl_expectation(state, f: np.ndarray) -> complex:
+    return complex(np.exp(-0.5 * covariance_form(state, f, f)))
+
+
+def weyl_two_point(state, f: np.ndarray, g: np.ndarray) -> complex:
+    """Expectation of the product of two Weyl operators in the ground state."""
+    n = state.geometry.sites
+    if len(f) != 2 * n or len(g) != 2 * n:
+        from entbound.gaussian import GaussianError
+
+        raise GaussianError("initial data vectors must have length 2 * sites")
+    fg = f + g
+    return complex(
+        np.exp(-0.5j * symplectic_form(state, f, g) - 0.5 * covariance_form(state, fg, fg))
+    )
+
+
 def region_data_map(state, indices) -> np.ndarray:
     """Real 2n x 2|V| matrix mapping region initial data to stacked one-
     particle vectors (Re kappa; Im kappa), built one unit vector at a time."""
-    from entbound.gaussian import _kappa_map
-
     n = state.geometry.sites
     idx = np.array(sorted(indices))
     cols = []
@@ -304,7 +340,6 @@ def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0
     import math
 
     from entbound.bounds import gap_table
-    from entbound.gaussian import covariance_form, weyl_expectation, weyl_two_point
 
     n = state.geometry.sites
     candidates = principal_candidates_loop(state, regions)
@@ -331,7 +366,13 @@ def correlator_lower_bound_loop(state, regions, trials: int = 256, seed: int = 0
     return best
 
 
-def t_kernel_matrix_complex(kappa: float, s: float, grid):
+def legendre_grid(theta_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-theta_max, theta_max]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x * theta_max, w * theta_max
+
+
+def t_kernel_matrix_complex(kappa: float, s: float, n: int, theta_max: float):
     """Weighted Nystrom matrix of the half-smeared Cauchy kernel."""
     import math
 
@@ -339,31 +380,25 @@ def t_kernel_matrix_complex(kappa: float, s: float, grid):
 
     if kappa == 0 or s <= 0:
         raise IntegrableError("need kappa != 0 and s > 0")
-    th = grid.nodes
-    sw = np.sqrt(grid.weights)
+    th, w = legendre_grid(theta_max, n)
+    sw = np.sqrt(w)
     damp = np.exp(-0.5 * s * np.cosh(th))
     denom = th[None, :] - th[:, None] + 0.5j * kappa
     kern = -np.sign(kappa) * damp[:, None] / (2.0j * math.pi * denom)
     return sw[:, None] * kern * sw[None, :]
 
 
-def t_kernel_trace_norm_fixed(kappa: float, s: float, grid=None) -> float:
+def t_kernel_trace_norm_fixed(kappa: float, s: float, n: int = 96) -> float:
     """T-kernel trace norm from exactly two grids, without adaptive doubling.
 
-    Two SVDs, at the grid's size and at twice it, with the 0.5% gate on that
-    pair; returns the value on the doubled grid.
+    Two SVDs, at n nodes and at 2n on [-theta_cutoff(s), theta_cutoff(s)],
+    with the 0.5% gate on that pair; returns the value on the doubled grid.
     """
-    from entbound.integrable import (
-        IntegrableError,
-        make_grid,
-        make_grid_for_theta,
-        t_kernel_matrix,
-    )
+    from entbound.integrable import IntegrableError, t_kernel_matrix, theta_cutoff
 
-    grid = make_grid(s) if grid is None else grid
-    val = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, grid), compute_uv=False)))
-    doubled = make_grid_for_theta(grid.theta_max, 2 * grid.size)
-    val2 = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, doubled), compute_uv=False)))
+    theta_max = theta_cutoff(s)
+    val = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, n, theta_max), compute_uv=False)))
+    val2 = float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, 2 * n, theta_max), compute_uv=False)))
     if abs(val2 - val) > 0.005 * max(abs(val2), 1e-300):
         raise IntegrableError(
             f"discretization not converged ({val} vs {val2}); increase nodes or theta_max"
@@ -379,14 +414,14 @@ def _span_projector(cols, cut):
     return q @ q.conj().T
 
 
-def vacuum_series_partial_sum(s_matrix, m, radius, kappa, delta, n_terms, chunk=1_000_000):
+def vacuum_series_partial_sum(s_matrix, mr, kappa, delta, n_terms, chunk=1_000_000):
     """1 + sum_{n=1}^{n_terms} max(q^n, K (q c)^n) of the vacuum bound, summed
     in log space in numpy chunks; a lower bound on the full series."""
     from entbound.integrable import bessel_k0, strip_sup_norm
 
     c = math.sqrt(strip_sup_norm(s_matrix, kappa))
-    log_q = math.log(4.0 * math.e * c / (kappa * math.pi) * bessel_k0((1.0 - delta) * m * radius))
-    log_k = 0.5 * math.log(bessel_k0(m * radius * delta * math.sin(kappa)))
+    log_q = math.log(4.0 * math.e * c / (kappa * math.pi) * bessel_k0((1.0 - delta) * mr))
+    log_k = 0.5 * math.log(bessel_k0(mr * delta * math.sin(kappa)))
     parts = [1.0]
     for start in range(1, n_terms + 1, chunk):
         n = np.arange(start, min(start + chunk, n_terms + 1), dtype=float)
@@ -394,7 +429,7 @@ def vacuum_series_partial_sum(s_matrix, m, radius, kappa, delta, n_terms, chunk=
     return math.fsum(parts)
 
 
-def vacuum_series_exact(s_matrix, m, radius, kappa, delta, dps: int = 40):
+def vacuum_series_exact(s_matrix, mr, kappa, delta, dps: int = 40):
     """1 + sum_{n>=1} max(q^n, K r^n) in closed form at ``dps`` digits, for the
     float ratios q and r = fl(q c) and the factor K that
     ``integrable.vacuum_bound`` forms (the same expressions, so the same
@@ -405,7 +440,6 @@ def vacuum_series_exact(s_matrix, m, radius, kappa, delta, dps: int = 40):
     from entbound.integrable import bessel_k0, strip_sup_norm
 
     c = math.sqrt(strip_sup_norm(s_matrix, kappa))
-    mr = m * radius
     q1 = (4.0 * math.e * c / (kappa * math.pi)) * bessel_k0((1.0 - delta) * mr)
     kf = math.sqrt(bessel_k0(mr * delta * math.sin(kappa)))
     qc = q1 * c
@@ -795,7 +829,7 @@ class AKernel:
 
     kappa: float
     s: float
-    grid: object
+    theta_max: float
     matrix: np.ndarray
 
     def eigenvalues(self) -> np.ndarray:
@@ -812,20 +846,21 @@ def a_kernel_value(kappa: float, s: float, theta: float, theta2: float) -> float
     )
 
 
-def a_kernel(kappa: float, s: float, grid=None) -> AKernel:
-    """Weighted Nystrom matrix of the positive smeared-Cauchy kernel."""
-    from entbound.integrable import IntegrableError, make_grid
+def a_kernel(kappa: float, s: float, n: int = 96) -> AKernel:
+    """Weighted Nystrom matrix of the positive smeared-Cauchy kernel on the
+    n-node Legendre rule over [-theta_cutoff(s), theta_cutoff(s)]."""
+    from entbound.integrable import IntegrableError, theta_cutoff
 
     if kappa == 0 or s <= 0:
         raise IntegrableError("need kappa != 0 and s > 0")
-    grid = make_grid(s) if grid is None else grid
-    th = grid.nodes
-    sw = np.sqrt(grid.weights)
+    theta_max = theta_cutoff(s)
+    th, w = legendre_grid(theta_max, n)
+    sw = np.sqrt(w)
     damp = np.exp(-0.5 * s * np.cosh(th))
     kern = (abs(kappa) / math.pi) * damp[:, None] * damp[None, :] / (
         (th[:, None] - th[None, :]) ** 2 + kappa**2
     )
-    return AKernel(kappa=kappa, s=s, grid=grid, matrix=sw[:, None] * kern * sw[None, :])
+    return AKernel(kappa=kappa, s=s, theta_max=theta_max, matrix=sw[:, None] * kern * sw[None, :])
 
 
 def _elementary_symmetric(eigs: np.ndarray, n: int) -> float:
@@ -852,7 +887,7 @@ def wedge_trace(ak: AKernel, n: int) -> tuple[float, float]:
     eigs = np.clip(ak.eigenvalues(), 0.0, None)
     primary = _elementary_symmetric(eigs, n)
 
-    theta_max = ak.grid.theta_max
+    theta_max = ak.theta_max
     m = 201
     th = np.linspace(-theta_max, theta_max, m)
     h = th[1] - th[0]
@@ -883,11 +918,11 @@ def wedge_trace(ak: AKernel, n: int) -> tuple[float, float]:
     return primary, alt
 
 
-def hadamard_bound_check(kappa: float, s: float, n: int, grid=None):
+def hadamard_bound_check(kappa: float, s: float, n: int):
     """Compare the n-th antisymmetric trace against its Hadamard-type cap."""
     from entbound.integrable import bessel_k0
 
-    ak = a_kernel(kappa, s, grid)
+    ak = a_kernel(kappa, s)
     lhs, _ = wedge_trace(ak, n)
     rhs = (1.0 / math.factorial(n)) * (2.0 * bessel_k0(s) / (kappa * math.pi)) ** n
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-6))
@@ -900,6 +935,18 @@ def bessel_k0_numpy(x: float) -> float:
     h = 2.0 * math.pi * d / (x * (1.0 - math.cos(d)) + 45.0)
     t = h * np.arange(1, int(math.acosh(1.0 + 40.0 / x) / h) + 1)
     return math.exp(-x) * h * (0.5 + float(np.sum(np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2))))
+
+
+def cardy_degeneracies(central_charge: float, k_max: int):
+    """Synthetic chiral spectrum whose character saturates the growth
+    log Tr = c pi^2/(6 tau): level density (c/(96 k^3))^(1/4) e^(2 pi
+    sqrt(c k / 6))."""
+    rows = [(0, 1)]
+    c = central_charge
+    for k in range(1, k_max + 1):
+        density = (c / (96.0 * k**3)) ** 0.25 * math.exp(2.0 * math.pi * math.sqrt(c * k / 6.0))
+        rows.append((k, max(round(density), 0)))
+    return rows
 
 
 def tensor_decompositions(dec1, dec2):
@@ -1011,7 +1058,7 @@ def gns_rep(rho: DensityMatrix) -> GnsRep:
     if not rho.is_faithful():
         raise ModularError("state is not faithful; GNS vector would not be separating")
     omega = matrix_power_psd(rho.matrix, 0.5)
-    nrm = hs_norm(omega)
+    nrm = float(np.linalg.norm(omega))
     if abs(nrm - 1.0) > 1e-8:
         raise ModularError(f"GNS vector has norm {nrm}")
     return GnsRep(state=rho, omega=omega)
@@ -1122,7 +1169,7 @@ def powers_stormer_gap(rho: DensityMatrix, rho2: DensityMatrix) -> tuple[float, 
     """
     _check_same_dim(rho, rho2)
     lhs = trace_norm(rho.matrix - rho2.matrix)
-    rhs = hs_norm(natural_cone_rep(rho) - natural_cone_rep(rho2)) ** 2
+    rhs = float(np.linalg.norm(natural_cone_rep(rho) - natural_cone_rep(rho2))) ** 2
     return lhs, rhs
 
 

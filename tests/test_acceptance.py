@@ -203,7 +203,7 @@ def test_criterion_5_integrable_bounds():
     ok &= abs(primary - alt) <= 0.01 * max(primary, alt)
     s_matrix = sinh_gordon(0.5)
     rs = np.arange(15.0, 41.0, 5.0)
-    results = [vacuum_bound(s_matrix, 1.0, float(r), 0.3, 0.1) for r in rs]
+    results = [vacuum_bound(s_matrix, float(r), 0.3, 0.1) for r in rs]
     ok &= all(res.converged for res in results)
     slope = np.polyfit(rs, np.log([res.log_value for res in results]), 1)[0]
     ok &= abs(slope - (-0.9)) <= 0.15 * 0.9

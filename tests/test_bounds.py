@@ -211,3 +211,9 @@ class TestAreaLaw:
     def test_invalid_config(self):
         with pytest.raises(BoundsError):
             PackingConfig(eps=-1.0, d=2)
+
+    @pytest.mark.parametrize("field", ["eps", "d2", "boundary_area", "length_a", "length_b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(BoundsError, match=f"{field} must be"):
+            PackingConfig(**{"eps": 0.01, "d": 2, field: value})

@@ -11,7 +11,6 @@ from entbound.cft import (
     SpectrumTable,
     bw_massive_series,
     bw_short_distance,
-    cardy_degeneracies,
     chiral_bound,
     chiral_cross_ratio,
     concentric_bound,
@@ -26,6 +25,7 @@ from entbound.cft import (
     quantum_integer,
     tau_theta,
 )
+from oracles import cardy_degeneracies
 
 
 def random_boost(rng):

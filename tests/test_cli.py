@@ -190,12 +190,18 @@ class TestSweepCommands:
         assert len(rows) == 2
         assert all("kappa=0.3 reaches the first pole b=0.259" in r for r in rows)
 
-    def test_sweep_alias(self, tmp_path):
-        out = tmp_path / "alias.csv"
-        code = main(["sweep", "dirac", "--m", "1.0", "--eps", "0.1,0.05",
-                     "--out", str(out)])
-        assert code == 0
-        assert len(out.read_text().strip().splitlines()) == 3
+    @pytest.mark.parametrize("argv, match", [
+        (["dirac", "--m", "1", "--eps", "0.1", "--circle-radius", "nan"], "radius"),
+        (["dirac", "--m", "1", "--eps", "0.1", "--circle-radius", "1", "--delta", "nan"], "delta"),
+        (["dirac", "--m", "inf", "--eps", "0.1"], "mass m"),
+        (["dirac", "--m", "nan", "--eps", "0.1"], "mass m"),
+        (["integrable", "--kappa", "nan", "--mR", "10"], "kappa"),
+    ], ids=["circle-radius-nan", "delta-nan", "m-inf", "m-nan", "kappa-nan"])
+    def test_non_finite_input_is_a_row_error(self, argv, match, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        (row,) = out.read_text().strip().splitlines()[1:]
+        assert f"{match} must be" in row and "finite" in row
 
 
 class TestDeterminism:
@@ -437,6 +443,10 @@ class TestOtherCommands:
         rec = json.loads(capsys.readouterr().out)
         assert rec["pair_count"] == 9
 
+    def test_lower_area_rejects_a_nan_width(self, capsys):
+        assert main(["lower", "--area", "2", "--eps", "nan"]) == 1
+        assert capsys.readouterr().err == "error: eps must be positive and finite, got nan\n"
+
     def test_chiral_spectrum_file(self, tmp_path):
         spec = tmp_path / "spec.csv"
         spec.write_text("l0,degeneracy\n0,1\n1,2\n")
@@ -520,21 +530,6 @@ class TestToleranceScope:
             outs.append(out.read_bytes())
         assert seen == [config.LATTICE] * 12
         assert outs[0] == outs[1]
-
-    def test_sweep_alias_keeps_the_profile(self, tmp_path, monkeypatch):
-        seen = []
-        real = integrable.vacuum_bound
-
-        def recording(*args, **kwargs):
-            seen.append(config.current() is config.LATTICE)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(integrable, "vacuum_bound", recording)
-        out = tmp_path / "alias.csv"
-        assert main(["--tol-profile", "lattice", "sweep", "integrable", "--g", "0.5",
-                     "--mR", "10,15,20", "--out", str(out)]) == 0
-        assert seen == [True] * 3
-        assert config.current() is config.STRICT
 
     def test_mutual_information_of_a_lattice_state(self, tmp_path):
         # trace off by 5e-9 loads under LATTICE; the marginal product must too
@@ -690,3 +685,39 @@ class TestTracedNamesImportedByModule:
                 bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                         if (source, a.name) in traced]
         assert not bad
+
+
+def _names_used(node: ast.AST):
+    """Every name, attribute, imported name and string constant under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+class TestNoDeadDefinitions:
+    """Each top-level function and class of ``src/entbound`` is used somewhere
+    in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition."""
+
+    def test_every_definition_is_referenced(self):
+        package = Path(cli.__file__).resolve().parent
+        root = package.parents[1]
+        paths = [p for d in (package, root / "tests", root / "perfbench")
+                 for p in sorted(d.glob("*.py"))]
+        defined, used = [], set()
+        for path in paths:
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                own = None
+                if path.parent == package and isinstance(
+                        top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    own = top.name
+                    if not (own.startswith("__") and own.endswith("__")):
+                        defined.append(f"{path.name}:{own}")
+                used.update(name for name in _names_used(top) if name != own)
+        assert len(defined) > 100
+        assert [d for d in defined if d.split(":")[1] not in used] == []

@@ -12,17 +12,15 @@ from entbound.gaussian import (
     RegionSpec,
     build_state,
     correlator_lower_bound,
-    covariance_form,
     decay_row,
     kg_upper_bound,
     laplacian,
     principal_cosines,
     region_projectors,
-    weyl_expectation,
-    weyl_two_point,
 )
 from oracles import (
     correlator_lower_bound_loop,
+    covariance_form,
     decay_sweep,
     kg_upper_bound_projectors,
     log_linear_fit,
@@ -30,6 +28,9 @@ from oracles import (
     principal_candidates_loop,
     principal_gram,
     region_data_map,
+    symplectic_form,
+    weyl_expectation,
+    weyl_two_point,
 )
 
 
@@ -214,8 +215,6 @@ class TestWeylCorrelators:
         v1 = weyl_two_point(state, f, g)
         v2 = weyl_two_point(state, g, f)
         assert abs(abs(v1) - abs(v2)) <= 1e-12
-        from entbound.gaussian import symplectic_form
-
         phase = np.exp(-1j * symplectic_form(state, f, g))
         assert abs(v1 - v2 * phase) <= 1e-12
 

@@ -15,12 +15,11 @@ from entbound.integrable import (
     bessel_k0,
     dirac_halfline_bound,
     legendre_rule,
-    make_grid,
-    make_grid_for_theta,
     s2_eval,
     sinh_gordon,
     strip_sup_norm,
     t_kernel_trace_norm,
+    theta_cutoff,
     transverse_circle_spectrum,
     vacuum_bound,
 )
@@ -228,13 +227,14 @@ class TestTKernel:
     def test_log_regime(self):
         ratios = []
         for s in (1e-3, 1e-4):
-            val = t_kernel_trace_norm(math.pi, s, 192)
+            val = t_kernel_trace_norm(math.pi, s)
             ratios.append(val / abs(math.log(s)))
         assert max(ratios) / min(ratios) <= 2.0
 
-    def test_nonconvergent_grid_rejected(self):
-        with pytest.raises(IntegrableError, match="converged|theta"):
-            t_kernel_trace_norm(math.pi, 1e-4, 4)
+    def test_nonconvergent_grid_rejected(self, monkeypatch):
+        monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
+        with pytest.raises(IntegrableError, match="converged"):
+            t_kernel_trace_norm(math.pi, 1e-4)
 
 
 class TestAdaptiveTraceNorm:
@@ -255,30 +255,24 @@ class TestAdaptiveTraceNorm:
                              ids=["pi", "pi/2", "-pi/2"])
     def test_matches_fixed_two_grid_oracle(self, kappa):
         for s in np.geomspace(0.004, 40, 60):
-            grid = make_grid(float(s), 96)
-            want = t_kernel_trace_norm_fixed(kappa, float(s), grid)
-            got = t_kernel_trace_norm(kappa, float(s), 96)
+            want = t_kernel_trace_norm_fixed(kappa, float(s), 96)
+            got = t_kernel_trace_norm(kappa, float(s))
             assert abs(got - want) <= 1e-13 * abs(want), s
 
     def test_large_decay_stops_early(self, monkeypatch):
         sizes = self.svd_sizes(monkeypatch)
-        t_kernel_trace_norm(math.pi, 20.0, 96)
+        t_kernel_trace_norm(math.pi, 20.0)
         assert len(sizes) <= 3 and max(sizes) <= 96
 
     def test_small_decay_reaches_the_cap(self, monkeypatch):
         sizes = self.svd_sizes(monkeypatch)
-        t_kernel_trace_norm(math.pi, 1e-3, 96)
+        t_kernel_trace_norm(math.pi, 1e-3)
         assert sizes == [24, 48, 96, 192]
 
-    def test_grid_below_the_start_size(self, monkeypatch):
-        sizes = self.svd_sizes(monkeypatch)
-        got = t_kernel_trace_norm(math.pi, 1.0, 7, 2.0)
-        assert sizes == [7, 14]
-        assert got == t_kernel_trace_norm_fixed(math.pi, 1.0, make_grid_for_theta(2.0, 7))
-
-    def test_gate_message_names_both_node_counts(self):
+    def test_gate_message_names_both_node_counts(self, monkeypatch):
+        monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
         with pytest.raises(IntegrableError, match="at 4 nodes .* at 8 nodes"):
-            t_kernel_trace_norm(math.pi, 1e-4, 4)
+            t_kernel_trace_norm(math.pi, 1e-4)
 
 
 class TestRealNystromForm:
@@ -287,11 +281,12 @@ class TestRealNystromForm:
                              ids=["pi", "pi/2", "-pi/2", "0.3"])
     def test_matches_complex_matrix(self, kappa, n):
         for s in np.geomspace(1e-4, 40, 20):
-            grid = make_grid(float(s), n)
-            real = integrable.t_kernel_matrix(kappa, float(s), grid)
+            theta_max = theta_cutoff(float(s))
+            real = integrable.t_kernel_matrix(kappa, float(s), n, theta_max)
             assert real.dtype == np.float64
             got = np.linalg.svd(real, compute_uv=False)
-            want = np.linalg.svd(t_kernel_matrix_complex(kappa, float(s), grid), compute_uv=False)
+            want = np.linalg.svd(t_kernel_matrix_complex(kappa, float(s), n, theta_max),
+                                 compute_uv=False)
             assert np.max(np.abs(got - want)) <= 1e-13 * want[0], s
             assert abs(np.sum(got) - np.sum(want)) <= 1e-13 * np.sum(want), s
 
@@ -304,7 +299,7 @@ class TestRealNystromForm:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        t_kernel_trace_norm(math.pi, 1e-3, 96)
+        t_kernel_trace_norm(math.pi, 1e-3)
         assert [shape for _, shape in seen] == [(n, n) for n in (24, 48, 96, 192)]
         assert all(dtype == np.float64 for dtype, _ in seen)
 
@@ -312,47 +307,62 @@ class TestRealNystromForm:
 class TestKernelGridSymmetry:
     @pytest.mark.parametrize("theta_max", [1.0, 3.7, 5.123456789, 17.25])
     def test_every_legendre_grid_passes(self, theta_max):
+        # scaling the rule by theta_max keeps its symmetry exactly
         for n in list(range(1, 65)) + [96, 192, 384]:
-            grid = make_grid_for_theta(theta_max, n)
-            assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+            x, w = legendre_rule(n)
+            nodes, weights = x * theta_max, w * theta_max
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
 
-    def test_skewed_grid_rejected(self):
-        x, w = np.polynomial.legendre.leggauss(24)
-        with pytest.raises(IntegrableError, match="antisymmetric"):
-            integrable.KernelGrid(nodes=3.0 * x + 0.1, weights=3.0 * w, theta_max=3.0)
-        with pytest.raises(IntegrableError, match="antisymmetric"):
-            integrable.KernelGrid(nodes=np.where(x > 0, 3.0 * x, 2.0 * x), weights=3.0 * w,
-                                  theta_max=3.0)
+    @staticmethod
+    def rule_from(monkeypatch, fake):
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: fake(*real(n)))
+        legendre_rule.cache_clear()
+        try:
+            return legendre_rule(24)
+        finally:
+            legendre_rule.cache_clear()
 
-    def test_asymmetric_weights_rejected(self):
-        x, w = np.polynomial.legendre.leggauss(24)
-        w = w.copy()
-        w[0] = np.nextafter(w[0], 1.0)
+    def test_skewed_grid_rejected(self, monkeypatch):
+        for fake in (lambda x, w: (x + 0.1, w), lambda x, w: (np.where(x > 0, 1.5 * x, x), w)):
+            with pytest.raises(IntegrableError, match="antisymmetric"):
+                self.rule_from(monkeypatch, fake)
+
+    def test_asymmetric_weights_rejected(self, monkeypatch):
+        def fake(x, w):
+            w = w.copy()
+            w[0] = np.nextafter(w[0], 1.0)
+            return x, w
+
         with pytest.raises(IntegrableError, match="symmetric weights"):
-            integrable.KernelGrid(nodes=x, weights=w, theta_max=1.0)
+            self.rule_from(monkeypatch, fake)
 
 
 class TestLegendreRule:
     @pytest.mark.parametrize("n", [96, 192, 7])
     def test_grid_is_scaled_leggauss_bytes(self, n):
+        # the matrix is built on leggauss scaled by theta_max, byte for byte
         x, w = np.polynomial.legendre.leggauss(n)
         for theta_max in (3.7, 5.123456789):
-            grid = make_grid_for_theta(theta_max, n)
-            assert (x * theta_max).tobytes() == grid.nodes.tobytes()
-            assert (w * theta_max).tobytes() == grid.weights.tobytes()
+            th, sw = x * theta_max, np.sqrt(w * theta_max)
+            a = 0.5 * math.pi
+            kern = (a / (a * a + (th[None, :] - th[:, None]) ** 2)
+                    + (th[None, :] + th[:, None]) / (a * a + (th[None, :] + th[:, None]) ** 2))
+            want = (sw * np.exp(-0.5 * np.cosh(th)) / (2.0 * math.pi))[:, None] * kern * sw[None, :]
+            got = integrable.t_kernel_matrix(math.pi, 1.0, n, theta_max)
+            assert got.tobytes() == want.tobytes()
 
     def test_doubled_grid_uses_the_doubled_rule(self, monkeypatch):
-        # the trace norm's finest grid is the doubled rule on the same theta_max
-        grid = make_grid(0.4)
+        # every grid of one trace norm is on theta_cutoff(s), at the scheduled sizes
         seen = []
         real = integrable.t_kernel_matrix
         monkeypatch.setattr(integrable, "t_kernel_matrix",
-                            lambda kappa, s, g: seen.append(g) or real(kappa, s, g))
+                            lambda kappa, s, n, theta_max: seen.append((n, theta_max))
+                            or real(kappa, s, n, theta_max))
         t_kernel_trace_norm(math.pi, 0.4)
-        twice = seen[-1]
-        x, w = np.polynomial.legendre.leggauss(2 * grid.size)
-        assert (x * grid.theta_max).tobytes() == twice.nodes.tobytes()
-        assert (w * grid.theta_max).tobytes() == twice.weights.tobytes()
+        assert [n for n, _ in seen] == list(integrable.NODE_COUNTS[:len(seen)])
+        assert len(seen) >= 2 and {t for _, t in seen} == {theta_cutoff(0.4)}
 
     def test_rule_built_once_and_read_only(self):
         x, w = legendre_rule(96)
@@ -464,30 +474,30 @@ class TestHadamard:
 class TestVacuumBound:
     def test_converges_and_matches_asymptotic(self):
         s = sinh_gordon(0.5)
-        res = vacuum_bound(s, m=1.0, radius=20.0, kappa=0.3, delta=0.1)
+        res = vacuum_bound(s, mr=20.0, kappa=0.3, delta=0.1)
         assert res.converged
         assert res.log_value <= res.asymptotic * 1.5
 
     def test_divergence_flag_small_mr(self):
         s = sinh_gordon(0.5)
-        res = vacuum_bound(s, m=1.0, radius=1.0, kappa=0.3, delta=0.1)
+        res = vacuum_bound(s, mr=1.0, kappa=0.3, delta=0.1)
         assert not res.converged
         assert res.nu is None and res.log_value is None
 
     def test_monotone_decreasing(self):
         s = sinh_gordon(0.5)
-        vals = [vacuum_bound(s, 1.0, r, 0.3, 0.1).log_value for r in (10, 15, 20, 30, 40)]
+        vals = [vacuum_bound(s, r, 0.3, 0.1).log_value for r in (10, 15, 20, 30, 40)]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_series_at_least_first_term(self):
         s = sinh_gordon(0.5)
-        res = vacuum_bound(s, 1.0, 20.0, 0.3, 0.1)
+        res = vacuum_bound(s, 20.0, 0.3, 0.1)
         assert res.nu >= 1.0
 
     def test_log_slope_window(self):
         s = sinh_gordon(0.5)
         rs = np.arange(15.0, 41.0, 5.0)
-        logs = [vacuum_bound(s, 1.0, float(r), 0.3, 0.1).log_value for r in rs]
+        logs = [vacuum_bound(s, float(r), 0.3, 0.1).log_value for r in rs]
         slope = np.polyfit(rs, np.log(logs), 1)[0]
         want = -(1 - 0.1) * 1.0
         assert abs(slope - want) <= 0.15 * abs(want)
@@ -495,7 +505,7 @@ class TestVacuumBound:
     def test_finite_just_past_divergence_threshold(self):
         # c^n alone overflows here while q^n underflows; the sum must stay finite
         s = SMatrix((0.4, 0.8, 1.2))
-        res = vacuum_bound(s, 1.0, 6.0, 0.3, 0.1)
+        res = vacuum_bound(s, 6.0, 0.3, 0.1)
         assert res.converged
         assert math.isfinite(res.nu)
         assert res.log_value == math.log(res.nu)
@@ -510,15 +520,15 @@ class TestVacuumBound:
 
     @pytest.mark.parametrize("mr", [5.9253, 5.92517, 6.0, 8.0])
     def test_series_bound_has_rounding_slack(self, mr):
-        # q c is within 2e-4 of 1 at the first two points, so max_terms runs out
+        # q c is within 2e-4 of 1 at the first two points, so the 10^4 terms run out
         # first; the 10^4-term partial sums are 7,511 and 13,184 against
-        # series of 10,123 and 172,892.  The last two stop at term_tol.  The
+        # series of 10,123 and 172,892.  The last two stop at the 1e-16 term cut.  The
         # closed form evaluates the same float ratios at 40 digits, so the
         # bound must be at or above it with no slack, and at most its own
         # 2 (n + 2)-ulp raise above the rounding of the sum it raises.
         s = SMatrix((0.4, 0.8, 1.2))
-        res = vacuum_bound(s, 1.0, mr, 0.3, 0.1)
-        exact, _ = vacuum_series_exact(s, 1.0, mr, 0.3, 0.1)
+        res = vacuum_bound(s, mr, 0.3, 0.1)
+        exact, _ = vacuum_series_exact(s, mr, 0.3, 0.1)
         assert res.converged
         assert (res.n_terms == 10_000) == (mr < 5.93)
         u = 2.0**-53
@@ -533,11 +543,11 @@ class TestVacuumBound:
         # this close to its radius of convergence by up to 8u / (1 - q c)
         # relative (6.6e-12 and 1.1e-10 here; 5.9e-11 seen at mR 5.92517)
         s = SMatrix((0.4, 0.8, 1.2))
-        res = vacuum_bound(s, 1.0, mr, 0.3, 0.1)
-        exact, qc = vacuum_series_exact(s, 1.0, mr, 0.3, 0.1)
+        res = vacuum_bound(s, mr, 0.3, 0.1)
+        exact, qc = vacuum_series_exact(s, mr, 0.3, 0.1)
         assert res.converged and res.n_terms == 10_000
         assert res.nu >= exact
-        partial = vacuum_series_partial_sum(s, 1.0, mr, 0.3, 0.1, 3_000_000)
+        partial = vacuum_series_partial_sum(s, mr, 0.3, 0.1, 3_000_000)
         assert abs(partial - float(exact)) <= 8.0 * 2.0**-53 / (1.0 - qc) * partial
         assert res.log_value == math.log(res.nu)
 
@@ -570,12 +580,22 @@ class TestVacuumBound:
                 else:
                     assert abs(float(got[key]) - float(ref[key])) <= 2e-15 * abs(float(ref[key]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        s = sinh_gordon(0.5)
+        with pytest.raises(IntegrableError, match="kappa must be positive and finite"):
+            strip_sup_norm(s, value)
+        with pytest.raises(IntegrableError, match="argument must be positive and finite"):
+            bessel_k0(value)
+        with pytest.raises(IntegrableError, match="mR must be positive and finite"):
+            vacuum_bound(s, value, 0.3, 0.1)
+
     def test_parameter_validation(self):
         s = sinh_gordon(0.5)
         with pytest.raises(IntegrableError):
-            vacuum_bound(s, 1.0, 10.0, 0.3, 1.5)
+            vacuum_bound(s, 10.0, 0.3, 1.5)
         with pytest.raises(IntegrableError):
-            vacuum_bound(s, 1.0, 10.0, 0.7, 0.1)  # kappa above the pole
+            vacuum_bound(s, 10.0, 0.7, 0.1)  # kappa above the pole
 
 
 class TestDiracBound:
@@ -639,6 +659,21 @@ class TestDiracBound:
         (kept,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "0.1"])
         (cut,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "-0.2"])
         assert float(kept["value"]) > 0.0 and float(cut["value"]) == 0.0
+
+    # an infinite radius or delta is rejected by the same checks; it is not
+    # run here because without them the mode list grows without end
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 0.2, 0.1), "radius"), ((1.0, math.inf, 0.1), "eps"),
+        ((1.0, 0.2, math.nan), "delta"),
+    ])
+    def test_circle_spectrum_rejects_non_finite_input(self, args, match):
+        with pytest.raises(IntegrableError, match=match):
+            transverse_circle_spectrum(*args)
+
+    @pytest.mark.parametrize("m, eps", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)])
+    def test_bound_rejects_non_finite_input(self, m, eps):
+        with pytest.raises(IntegrableError, match="must be positive and finite"):
+            dirac_halfline_bound(m, eps)
 
     @pytest.mark.parametrize("delta", [-1.0, -1.5])
     def test_circle_spectrum_rejects_delta_at_or_below_minus_one(self, delta, tmp_path):
