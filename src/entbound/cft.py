@@ -1,7 +1,6 @@
 """Conformal bound evaluators: cross-ratios of nested diamonds, deformed
 multiplet counts, partition-function bounds for concentric and general
-configurations, the free-scalar character, chiral interval bounds, and the
-closed-form nuclearity bound shapes."""
+configurations, the free-scalar character and chiral interval bounds."""
 
 from __future__ import annotations
 
@@ -88,17 +87,6 @@ def tau_theta(u: float, v: float) -> tuple[float, float]:
     return tau, theta
 
 
-def concentric_config(r: float, big_r: float) -> DiamondConfig:
-    if not 0 < r < big_r:
-        raise CftError("need 0 < r < R")
-    return DiamondConfig(
-        x_a_plus=np.array([r, 0.0, 0.0, 0.0]),
-        x_a_minus=np.array([-r, 0.0, 0.0, 0.0]),
-        x_b_plus=np.array([big_r, 0.0, 0.0, 0.0]),
-        x_b_minus=np.array([-big_r, 0.0, 0.0, 0.0]),
-    )
-
-
 def quantum_integer(n: int, theta: float) -> float:
     """Deformed multiplet count: finite geometric sum, exact at theta = 0."""
     if n < 1:
@@ -142,39 +130,11 @@ class SpectrumTable:
             self, "rows", tuple(sorted(merged.values(), key=lambda r: (r.delta, r.spin_l, r.spin_r)))
         )
 
-    @classmethod
-    def scalar(cls, pairs) -> "SpectrumTable":
-        return cls(tuple(SpectrumRow(delta=float(d), mult=int(m)) for d, m in pairs))
-
     def has_identity(self) -> bool:
         return any(r.delta == 0.0 for r in self.rows)
 
 
-def free_scalar_spectrum_4d(delta_max: int) -> SpectrumTable:
-    """Level degeneracies of the free-scalar operator tower.
-
-    Exact integer coefficients of the product over n of (1 - q^n)^(-n^2),
-    the generating function of multisets of derivative words where a word of
-    length n comes in n^2 colors.
-    """
-    if not 0 <= delta_max <= 60:
-        raise CftError("level cap is 60")
-    coeffs = [0] * (delta_max + 1)
-    coeffs[0] = 1
-    for n in range(1, delta_max + 1):
-        colors = n * n
-        new = [0] * (delta_max + 1)
-        m = 0
-        while n * m <= delta_max:
-            binom = math.comb(colors + m - 1, m)
-            for d in range(0, delta_max - n * m + 1):
-                new[d + n * m] += coeffs[d] * binom
-            m += 1
-        coeffs = new
-    return SpectrumTable.scalar([(d, c) for d, c in enumerate(coeffs) if c > 0])
-
-
-def free_scalar_character_log(ratio: float, tol: float = 1e-12) -> float:
+def free_scalar_character_log(ratio: float) -> float:
     """log of the full free-scalar partition sum at the given ratio.
 
     Evaluated through the convergent product form sum_n n^2 * (-log(1-q^n)),
@@ -188,7 +148,7 @@ def free_scalar_character_log(ratio: float, tol: float = 1e-12) -> float:
     while True:
         term = -n * n * math.log1p(-(ratio**n))
         total += term
-        if term < tol * max(total, 1e-300) and n > 10:
+        if term < 1e-12 * max(total, 1e-300) and n > 10:
             break
         n += 1
         if n > 10_000_000:  # pragma: no cover
@@ -199,9 +159,11 @@ def free_scalar_character_log(ratio: float, tol: float = 1e-12) -> float:
 def concentric_bound(spectrum, ratio: float) -> float:
     """log of the spectrum-weighted partition sum at the given size ratio.
 
-    Accepts a SpectrumTable (with a tail-estimate rejection for unconverged
-    truncations) or the named free-scalar tower, which is evaluated in its
-    exact product form.
+    Accepts a SpectrumTable or the named free-scalar tower, which is
+    evaluated in its exact product form.  A table is summed exactly as
+    given, so its value bounds that table, not a spectrum it truncates; a
+    heuristic tail estimate only rejects tables that look cut off too early
+    at this ratio.
     """
     if not 0 < ratio < 1:
         raise CftError("ratio must lie in (0, 1)")
@@ -268,49 +230,3 @@ def chiral_bound(l0_spectrum, intervals) -> float:
     if total < 1.0:
         raise CftError("spectrum must include the vacuum level")
     return math.log(total)
-
-
-# ---------------------------------------------------------------------------
-# closed-form nuclearity bound shapes
-
-
-def bw_massive_series(c: float, n: int, k: float, m_r: float, term_tol: float = 1e-16) -> float:
-    """Large-separation series bound for a gapped theory.
-
-    Sums exp(-(m R j)^k + 3 (c m_j-scale)^(n/(n+1))) over the tower index; the
-    exponent balance requires k above n/(n+1).
-    """
-    if n < 1 or c <= 0 or m_r <= 0:
-        raise CftError("need n >= 1, c > 0, mR > 0")
-    power = n / (n + 1.0)
-    if not power < k < 1.0:
-        raise CftError(f"series diverges unless n/(n+1) < k < 1; got k={k}, n/(n+1)={power:.4f}")
-    total = 0.0
-    for j in range(1, 100_000):
-        term = math.exp(-((m_r * j) ** k) + 3.0 * (c * j) ** power)
-        total += term
-        if term < term_tol * max(total, 1e-300) and j > 3:
-            break
-    return math.log1p(total)
-
-
-def bw_short_distance(c: float, n: int, r: float) -> float:
-    """Short-distance bound: log(1 + exp(sqrt(2) (c cot(pi/4n) / r)^n))."""
-    if n < 1 or c <= 0 or r <= 0:
-        raise CftError("need n >= 1, c > 0, R > 0")
-    x = math.sqrt(2.0) * (c / math.tan(math.pi / (4.0 * n)) / r) ** n
-    return math.log1p(math.exp(x))
-
-
-def kms_power_law(coefficient: float, alpha: float, r: float) -> float:
-    """Thermal-state decay shape C * R^(1 - alpha)."""
-    if alpha <= 1.0:
-        raise CftError("need alpha > 1")
-    return coefficient * r ** (1.0 - alpha)
-
-
-def massless_free_scalar_power(coefficient: float, d: int, r: float) -> float:
-    """Free massless scalar decay shape C * R^(-(d-2)) for d > 2."""
-    if d <= 2:
-        raise CftError("need spatial dimension d > 2")
-    return coefficient * r ** (-(d - 2))

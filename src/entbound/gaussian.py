@@ -34,6 +34,12 @@ class LatticeGeometry:
             raise GaussianError("need at least 8 sites")
         if not all(0 < v < math.inf for v in (self.spacing, self.mass)):
             raise GaussianError("spacing and mass must be positive and finite")
+        # the kinetic operator's eigenvalues lie in (mass**2, mass**2 + 4/spacing**2]
+        if not math.isfinite(self.mass * self.mass):
+            raise GaussianError(f"mass {self.mass!r} is too large: mass**2 overflows")
+        if not math.isfinite(self.mass * self.mass + 4.0 / self.spacing / self.spacing):
+            raise GaussianError(f"spacing {self.spacing!r} is too small for mass {self.mass!r}: "
+                                "mass**2 + 4/spacing**2 overflows")
         if self.mass * self.spacing >= 2.0:
             # mass gap comparable to the lattice cutoff: correlation lengths
             # below one spacing are not resolved; still algebraically valid
@@ -100,7 +106,7 @@ def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray,
     for p in (-0.25, 0.25):
         cols = state.c_power(p)[:, idx]
         q, s, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(s > config.current().rank_cut * max(float(s[0]), 1.0)))
+        rank = int(np.sum(s > config.RANK_CUT * max(float(s[0]), 1.0)))
         if rank < len(idx):
             warnings.warn(
                 f"region columns are numerically dependent: rank {rank} < {len(idx)}",

@@ -16,7 +16,6 @@ function are plain floating-point sums.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -58,18 +57,6 @@ def sinh_gordon(g: float) -> SMatrix:
             f"coupling g={g} gives b={b:.4f} >= pi/2; only b in (0, pi/2) is supported"
         )
     return SMatrix(poles=(b,))
-
-
-def s2_eval(s: SMatrix, zeta: complex) -> complex:
-    """Product of (sinh z - i sin b_k)/(sinh z + i sin b_k) over the poles."""
-    sh = cmath.sinh(zeta)
-    out = 1.0 + 0.0j
-    for b in s.poles:
-        den = sh + 1j * math.sin(b)
-        if abs(den) < 1e-12:
-            raise IntegrableError(f"evaluation point within 1e-12 of the pole b={b}")
-        out *= (sh - 1j * math.sin(b)) / den
-    return out
 
 
 def strip_sup_norm(s: SMatrix, kappa: float) -> float:

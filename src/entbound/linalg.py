@@ -25,19 +25,13 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(m: np.ndarray, rtol: float | None = None) -> bool:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        return False
-    rtol = config.current().reconstruction_rel * 1e-3 if rtol is None else rtol
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    return bool(np.linalg.norm(m - m.conj().T) <= rtol * scale)
-
-
 def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, or an error unless it is square, finite and
+    Hermitian to 1e-12 relative in the Frobenius norm."""
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
+    if (m.ndim != 2 or m.shape[0] != m.shape[1]
+            or not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag))
+            or np.linalg.norm(m - m.conj().T) > 1e-12 * max(float(np.linalg.norm(m)), 1.0)):
         raise LinalgError(f"{what} is not Hermitian (or not square/finite)")
     return m
 
@@ -62,16 +56,15 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_power_psd(m: np.ndarray, p: float) -> np.ndarray:
     """Power of a PSD Hermitian matrix, taken on its support.
 
-    Eigenvalues in ``[-psd_slack, support_cut]`` are round-off and map to
+    Eigenvalues in ``[-psd_slack, SUPPORT_CUT]`` are round-off and map to
     zero, so fractional and negative powers do not amplify noise; an
     eigenvalue below ``-psd_slack`` raises, naming it.
     """
-    tol = config.current()
     w, v = eigh(m)
-    if w[0] < -tol.psd_slack:
+    if w[0] < -config.current().psd_slack:
         raise LinalgError(f"eigenvalue {float(w[0])!r} outside domain of x**{p}")
     fw = np.zeros_like(w)
-    pos = w > tol.support_cut
+    pos = w > config.SUPPORT_CUT
     fw[pos] = w[pos] ** p
     return (v * fw) @ v.conj().T
 
@@ -121,7 +114,7 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
     def is_faithful(self) -> bool:
-        return bool(self.eigenvalues().min() > config.current().faithful_min_eig)
+        return bool(self.eigenvalues().min() > config.FAITHFUL_MIN_EIG)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

@@ -109,7 +109,7 @@ class MeasureResult:
 
 def von_neumann_entropy(m: np.ndarray) -> float:
     w = np.linalg.eigvalsh(m)
-    w = w[w > config.current().support_cut]
+    w = w[w > config.SUPPORT_CUT]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -150,7 +150,7 @@ def schmidt_entropy(psi: np.ndarray, dimA: int, dimB: int) -> MeasureResult:
     """Entanglement entropy of a pure state (exact value of E_R and E_D)."""
     s, _, _ = schmidt_decomposition(psi, dimA, dimB)
     p = s**2
-    p = p[p > config.current().support_cut]
+    p = p[p > config.SUPPORT_CUT]
     value = float(-np.sum(p * np.log(p)))
     rho = np.outer(psi, np.conj(psi))
     dm = DensityMatrix(dimA, dimB, rho)
@@ -468,7 +468,7 @@ def _modular_quarter_factors(m: np.ndarray, spectral_cut: float = 1e-13):
     V [F o (V^dagger xi W^*)] W^T.
     """
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    u = u[:, : int(np.sum(s > config.current().rank_cut * 0.1 * max(float(s[0]), 1.0)))]
+    u = u[:, : int(np.sum(s > config.RANK_CUT * 0.1 * max(float(s[0]), 1.0)))]
     x = u @ (u.conj().T @ np.linalg.pinv(m.conj().T, rcond=1e-12))
     lam, v = np.linalg.eigh(m @ m.conj().T)
     mu, w = np.linalg.eigh(x.T @ x.conj())
@@ -530,7 +530,7 @@ def modular_nuclearity_upper(rho: DensityMatrix) -> MeasureResult:
 def _full_schmidt_rank(rho: DensityMatrix) -> bool:
     wa = np.linalg.eigvalsh(partial_trace(rho, "A").matrix)
     wb = np.linalg.eigvalsh(partial_trace(rho, "B").matrix)
-    cut = config.current().faithful_min_eig
+    cut = config.FAITHFUL_MIN_EIG
     return bool(wa.min() > cut and wb.min() > cut)
 
 
@@ -671,9 +671,6 @@ class OrderingReport:
     @property
     def ok(self) -> bool:
         return all(link[3] for link in self.links)
-
-    def broken(self) -> list[str]:
-        return [link[0] for link in self.links if not link[3]]
 
 
 def ordering_audit(

@@ -30,7 +30,7 @@ def relative_entropy(rho: DensityMatrix, rho2: DensityMatrix) -> float:
     support of ``rho2``.
     """
     _check_same_dim(rho, rho2)
-    cut = config.current().support_cut
+    cut = config.SUPPORT_CUT
     w2, v2 = eigh(rho2.matrix)
     keep = w2 > cut
     # support condition: rho must not leak outside supp(rho2)

@@ -1,6 +1,6 @@
 """Superselection-sector arithmetic: statistical dimensions from Young
-diagrams and minimal-model labels, the index of a sector family, and the
-charged-state entanglement deltas they bound."""
+diagrams and minimal-model labels, the index of a minimal-model family, and
+the charged-state entanglement deltas they bound."""
 
 from __future__ import annotations
 
@@ -30,9 +30,6 @@ class YoungDiagram:
         arm = self.rows[i] - (j + 1)
         leg = sum(1 for r in self.rows[i + 1 :] if r > j)
         return arm + leg + 1
-
-    def hook_lengths(self) -> list[list[int]]:
-        return [[self.hook_length(i, j) for j in range(r)] for i, r in enumerate(self.rows)]
 
 
 def young_dim(diagram: YoungDiagram, n: int) -> int | Fraction:
@@ -114,11 +111,6 @@ def charged_delta_bounds(sectors: SectorList) -> tuple[float, float]:
     """
     base = sum(s.count * math.log(s.dim) for s in sectors.sectors)
     return 2.0 * base, 2.5 * base
-
-
-def mu_index(sectors: SectorList) -> float:
-    """Sum of the squared statistical dimensions of a complete sector list."""
-    return float(sum(s.dim**2 for s in sectors.sectors))
 
 
 def minimal_model_mu_index(p: int) -> float:

@@ -142,6 +142,22 @@ def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8,
     return float(best), total_iters
 
 
+def s2_eval(s, zeta: complex) -> complex:
+    """Product of (sinh z - i sin b_k)/(sinh z + i sin b_k) over the poles."""
+    import cmath
+
+    from entbound.integrable import IntegrableError
+
+    sh = cmath.sinh(zeta)
+    out = 1.0 + 0.0j
+    for b in s.poles:
+        den = sh + 1j * math.sin(b)
+        if abs(den) < 1e-12:
+            raise IntegrableError(f"evaluation point within 1e-12 of the pole b={b}")
+        out *= (sh - 1j * math.sin(b)) / den
+    return out
+
+
 def strip_sup_norm_scalar(s, kappa: float) -> float:
     """Supremum of |S_2| on the strip, scanned one grid point at a time.
 
@@ -150,11 +166,10 @@ def strip_sup_norm_scalar(s, kappa: float) -> float:
     scalar ``s2_eval`` instead of one array evaluation per boundary line.
     """
     import cmath
-    import math
 
     from scipy.optimize import minimize_scalar
 
-    from entbound.integrable import IntegrableError, s2_eval
+    from entbound.integrable import IntegrableError
 
     best = 1.0
     grid = np.linspace(-25.0, 25.0, 2001)
@@ -475,7 +490,7 @@ def modular_nuclearity_kron(rho):
         com_cols = np.column_stack([
             mk_com(_matrix_unit(com_dim, i, j)) @ omega for i in range(com_dim) for j in range(com_dim)
         ])
-        q = _span_projector(com_cols, config.current().rank_cut * 0.1)
+        q = _span_projector(com_cols, config.RANK_CUT * 0.1)
         u_cols, w_cols = [], []
         for i in range(alg_dim):
             for j in range(alg_dim):
@@ -529,7 +544,7 @@ def modular_nuclearity_omega_matrix(rho):
         n_alg, n_com = m.shape
         eye_a, eye_c = np.eye(n_alg), np.eye(n_com)
         com_cols = np.einsum("ci,aj->acij", eye_c, m).reshape(m.size, n_com * n_com)
-        q = _span_projector(com_cols, config.current().rank_cut * 0.1)
+        q = _span_projector(com_cols, config.RANK_CUT * 0.1)
         u = np.einsum("ai,jc->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
         w = q @ np.einsum("aj,ic->acij", eye_a, m).reshape(m.size, n_alg * n_alg)
         a = w @ np.linalg.pinv(u.conj(), rcond=1e-12)
@@ -935,6 +950,53 @@ def bessel_k0_numpy(x: float) -> float:
     h = 2.0 * math.pi * d / (x * (1.0 - math.cos(d)) + 45.0)
     t = h * np.arange(1, int(math.acosh(1.0 + 40.0 / x) / h) + 1)
     return math.exp(-x) * h * (0.5 + float(np.sum(np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2))))
+
+
+def concentric_config(r: float, big_r: float):
+    """Two diamonds of radii r < R about the same center."""
+    from entbound.cft import CftError, DiamondConfig
+
+    if not 0 < r < big_r:
+        raise CftError("need 0 < r < R")
+    return DiamondConfig(
+        x_a_plus=np.array([r, 0.0, 0.0, 0.0]),
+        x_a_minus=np.array([-r, 0.0, 0.0, 0.0]),
+        x_b_plus=np.array([big_r, 0.0, 0.0, 0.0]),
+        x_b_minus=np.array([-big_r, 0.0, 0.0, 0.0]),
+    )
+
+
+def scalar_table(pairs):
+    """Spectrum table of spinless rows from (delta, multiplicity) pairs."""
+    from entbound.cft import SpectrumRow, SpectrumTable
+
+    return SpectrumTable(tuple(SpectrumRow(delta=float(d), mult=int(m)) for d, m in pairs))
+
+
+def free_scalar_spectrum_4d(delta_max: int):
+    """Level degeneracies of the free-scalar operator tower.
+
+    Exact integer coefficients of the product over n of (1 - q^n)^(-n^2),
+    the generating function of multisets of derivative words where a word of
+    length n comes in n^2 colors.
+    """
+    from entbound.cft import CftError
+
+    if not 0 <= delta_max <= 60:
+        raise CftError("level cap is 60")
+    coeffs = [0] * (delta_max + 1)
+    coeffs[0] = 1
+    for n in range(1, delta_max + 1):
+        colors = n * n
+        new = [0] * (delta_max + 1)
+        m = 0
+        while n * m <= delta_max:
+            binom = math.comb(colors + m - 1, m)
+            for d in range(0, delta_max - n * m + 1):
+                new[d + n * m] += coeffs[d] * binom
+            m += 1
+        coeffs = new
+    return scalar_table([(d, c) for d, c in enumerate(coeffs) if c > 0])
 
 
 def cardy_degeneracies(central_charge: float, k_max: int):

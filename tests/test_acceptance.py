@@ -25,9 +25,7 @@ from entbound.cft import (
     chiral_bound,
     chiral_cross_ratio,
     concentric_bound,
-    concentric_config,
     cross_ratios,
-    free_scalar_spectrum_4d,
     quantum_integer,
     tau_theta,
 )
@@ -69,9 +67,11 @@ from oracles import (
     araki_relative_entropy,
     bell_phi_plus_value,
     cocycle_derivative,
+    concentric_config,
     decay_sweep,
     entropy_gap_check,
     fidelity_lower_bound_check,
+    free_scalar_spectrum_4d,
     hadamard_bound_check,
     log_linear_fit,
     random_kraus_family,
@@ -175,7 +175,7 @@ def test_criterion_3_certified_ordering_chain():
         rho = random_density_matrix(2, 2, rank=4, seed=seed)
         rep = ordering_audit(rho, include_er=False, include_eb=False, slack=1e-8)
         if not rep.ok:
-            violations.append((seed, rep.broken()))
+            violations.append((seed, [link[0] for link in rep.links if not link[3]]))
     verdict(3, not violations, f"50 random faithful 2x2 states, violations: {violations}")
 
 

@@ -9,23 +9,22 @@ from entbound.cft import (
     DiamondConfig,
     SpectrumRow,
     SpectrumTable,
-    bw_massive_series,
-    bw_short_distance,
     chiral_bound,
     chiral_cross_ratio,
     concentric_bound,
-    concentric_config,
     cross_ratios,
     free_scalar_character_log,
-    free_scalar_spectrum_4d,
     general_bound_3p1,
-    kms_power_law,
-    massless_free_scalar_power,
     minkowski_square,
     quantum_integer,
     tau_theta,
 )
-from oracles import cardy_degeneracies
+from oracles import (
+    cardy_degeneracies,
+    concentric_config,
+    free_scalar_spectrum_4d,
+    scalar_table,
+)
 
 
 def random_boost(rng):
@@ -185,11 +184,11 @@ def _brute_force_colored_partitions(total: int) -> int:
 
 class TestConcentricBound:
     def test_identity_only(self):
-        table = SpectrumTable.scalar([(0.0, 1)])
+        table = scalar_table([(0.0, 1)])
         assert abs(concentric_bound(table, 0.3)) <= 1e-12
 
     def test_single_operator_small_ratio(self):
-        table = SpectrumTable.scalar([(0.0, 1), (2.0, 3)])
+        table = scalar_table([(0.0, 1), (2.0, 3)])
         ratio = 0.05
         val = concentric_bound(table, ratio)
         approx = 3 * ratio**2
@@ -219,7 +218,7 @@ class TestConcentricBound:
 
     def test_missing_identity_rejected(self):
         with pytest.raises(CftError, match="identity"):
-            concentric_bound(SpectrumTable.scalar([(1.0, 1)]), 0.3)
+            concentric_bound(scalar_table([(1.0, 1)]), 0.3)
 
 
 class TestGeneralBound:
@@ -256,7 +255,7 @@ class TestGeneralBound:
         assert abs(slope + twist) <= 0.05 * twist
 
     def test_domain(self):
-        table = SpectrumTable.scalar([(0.0, 1)])
+        table = scalar_table([(0.0, 1)])
         with pytest.raises(CftError):
             general_bound_3p1(table, 0.5, 0.7)
 
@@ -300,33 +299,3 @@ class TestChiralBound:
     def test_interval_order_enforced(self):
         with pytest.raises(CftError):
             chiral_bound([(0, 1)], (0.0, -1.0, 1.0, 2.0))
-
-
-class TestNuclearityShapes:
-    def test_massive_series_finite_and_sane(self):
-        val = bw_massive_series(c=1.0, n=3, k=0.8, m_r=10.0)
-        assert 0.0 < val < 10.0
-        # log(1+x) <= x with x the bare series
-        series = math.expm1(val)
-        assert val <= series + 1e-12
-
-    def test_massive_series_parameter_guard(self):
-        with pytest.raises(CftError, match="n/"):
-            bw_massive_series(c=1.0, n=3, k=0.7, m_r=10.0)
-
-    def test_short_distance_limit(self):
-        vals = [bw_short_distance(1.0, 2, r) for r in (1.0, 10.0, 100.0, 1e6)]
-        assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
-        assert abs(vals[-1] - math.log(2.0)) <= 1e-5
-
-    def test_kms_power_law_doubling(self):
-        alpha = 2.7
-        v1 = kms_power_law(3.0, alpha, 5.0)
-        v2 = kms_power_law(3.0, alpha, 10.0)
-        assert abs(v2 / v1 - 2.0 ** (1 - alpha)) <= 1e-12
-        assert abs(kms_power_law(1.0, 2.0, 4.0) - 0.25) <= 1e-12
-
-    def test_massless_scalar_dimension_guard(self):
-        with pytest.raises(CftError):
-            massless_free_scalar_power(1.0, 2, 3.0)
-        assert abs(massless_free_scalar_power(1.0, 4, 2.0) - 0.25) <= 1e-12

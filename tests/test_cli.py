@@ -1,7 +1,10 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -606,6 +609,8 @@ class TestErrorExit:
         (["--regionA=-3..2"], "--regionA -3..2 must be a range within sites 0..63"),
         (["--regionA", "60..64"], "must be a range within sites 0..63"),
         (["--regionA", "9..4"], "must be a range within sites 0..63"),
+        (["--trials", "1", "--mass", "1e200"], "mass 1e+200 is too large: mass**2 overflows"),
+        (["--trials", "1", "--spacing", "1e-160"], "spacing 1e-160 is too small for mass 1.0"),
     ])
     def test_bad_gaussian_input_exits_1(self, option, match, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -687,37 +692,174 @@ class TestTracedNamesImportedByModule:
         assert not bad
 
 
-def _names_used(node: ast.AST):
-    """Every name, attribute, imported name and string constant under ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield sub.value
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-class TestNoDeadDefinitions:
-    """Each top-level function and class of ``src/entbound`` is used somewhere
-    in ``src/``, ``tests/`` or ``perfbench/`` outside its own definition."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
-    def test_every_definition_is_referenced(self):
+
+def unreached_definitions(package: Path, roots) -> list[str]:
+    """Keys ``module.name`` and ``module.Class.method`` of the definitions in
+    ``package`` that no root reaches.
+
+    Module-level statements and module dunders are reached.  A reached body
+    reaches the top-level definitions of its own module that it names, the
+    definitions that its relative imports name, and every top-level
+    definition or method whose name it accesses as an attribute; string
+    constants reach nothing.  A reached class reaches its bases, decorators,
+    field statements and dunder methods; a method is reported only when its
+    class is reached.
+    """
+    defs, by_name, todo = {}, {}, []
+    for path in sorted(package.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                todo.append((mod, node))
+                continue
+            key = f"{mod}.{node.name}"
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for k, sub in [(key, node), *((f"{key}.{m.name}", m) for m in members
+                                          if isinstance(m, _FUNCTIONS))]:
+                defs[k] = (mod, sub)
+                by_name.setdefault(sub.name, []).append(k)
+    reached = set()
+
+    def reach(key):
+        if key not in defs or key in reached:
+            return
+        reached.add(key)
+        mod, node = defs[key]
+        if not isinstance(node, ast.ClassDef):
+            todo.append((mod, node))
+            return
+        todo.extend((mod, part) for part in (
+            *node.decorator_list, *node.bases, *node.keywords,
+            *(s for s in node.body if not isinstance(s, _FUNCTIONS))))
+        for s in node.body:
+            if isinstance(s, _FUNCTIONS) and _is_dunder(s.name):
+                reach(f"{key}.{s.name}")
+
+    for key in [*roots, *(k for k in defs if k.count(".") == 1 and _is_dunder(k.split(".")[1]))]:
+        reach(key)
+    while todo:
+        mod, node = todo.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                reach(f"{mod}.{sub.id}")
+            elif isinstance(sub, ast.Attribute):
+                for key in by_name.get(sub.attr, ()):
+                    reach(key)
+            elif isinstance(sub, ast.ImportFrom) and sub.level and sub.module:
+                for alias in sub.names:
+                    reach(f"{sub.module}.{alias.name}")
+    return sorted(k for k in defs if k not in reached
+                  and (k.count(".") == 1 or k.rsplit(".", 1)[0] in reached))
+
+
+# public helpers that no CLI path runs but README names
+REACHABILITY_ALLOW = ("measures.verify_certificate",)
+
+
+def reachability_roots() -> list[str]:
+    """The console script, ``entbound.__all__`` with the members of its
+    classes, and ``REACHABILITY_ALLOW``."""
+    import entbound
+
+    roots = ["cli.main", *REACHABILITY_ALLOW]
+    for name in entbound.__all__:
+        obj = getattr(entbound, name)
+        key = f"{obj.__module__.removeprefix('entbound.')}.{name}"
+        roots.append(key)
+        if isinstance(obj, type):
+            roots += [f"{key}.{member}" for member in vars(obj)]
+    return roots
+
+
+class TestReachability:
+    """Every function, class and method in ``src/entbound`` is reached from
+    the ``entbound`` command or the public API; code that only tests run
+    belongs in ``tests/oracles.py``."""
+
+    def test_roots_name_the_console_script(self):
+        root = Path(cli.__file__).resolve().parents[2]
+        assert 'entbound = "entbound.cli:main"' in (root / "pyproject.toml").read_text()
+
+    def test_every_definition_is_reached(self):
         package = Path(cli.__file__).resolve().parent
-        root = package.parents[1]
-        paths = [p for d in (package, root / "tests", root / "perfbench")
-                 for p in sorted(d.glob("*.py"))]
-        defined, used = [], set()
-        for path in paths:
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                own = None
-                if path.parent == package and isinstance(
-                        top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    own = top.name
-                    if not (own.startswith("__") and own.endswith("__")):
-                        defined.append(f"{path.name}:{own}")
-                used.update(name for name in _names_used(top) if name != own)
-        assert len(defined) > 100
-        assert [d for d in defined if d.split(":")[1] not in used] == []
+        assert unreached_definitions(package, reachability_roots()) == []
+
+    def test_an_unreferenced_helper_in_any_module_is_flagged(self, tmp_path):
+        package = Path(cli.__file__).resolve().parent
+        helpers = []
+        for path in sorted(package.glob("*.py")):
+            name = f"_unreferenced_{path.stem.strip('_')}"
+            helpers.append(f"{path.stem}.{name}")
+            # a string naming the helper does not reach it
+            text = path.read_text(encoding="utf-8") + f"\n\n_NAME = {name!r}\n\n\ndef {name}():\n    return _NAME\n"
+            (tmp_path / path.name).write_text(text, encoding="utf-8")
+        assert len(helpers) == 11
+        assert unreached_definitions(tmp_path, reachability_roots()) == sorted(helpers)
+
+
+def _resolve(dotted: str):
+    """The object a dotted name such as ``entbound.linalg.trace_norm`` names."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for part in parts[i:]:
+            obj = getattr(obj, part)
+        return obj
+    raise ImportError(dotted)
+
+
+class TestReadmeNames:
+    """README's inline code names only what exists: each dotted name that
+    starts with ``entbound.`` or a module name resolves, and each call form
+    in a module-table row matches that module's signature."""
+
+    @staticmethod
+    def _readme():
+        root = Path(cli.__file__).resolve().parents[2]
+        text = (root / "README.md").read_text(encoding="utf-8")
+        return re.sub(r"```.*?```", "", text, flags=re.S)
+
+    def test_dotted_names_resolve(self):
+        modules = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
+        checked, missing = 0, []
+        for span in re.findall(r"`([^`\n]+)`", self._readme()):
+            name = span.removesuffix("()")
+            if not re.fullmatch(r"\w+(\.\w+)+", name) or name.split(".")[0] not in (
+                    modules | {"entbound"}):
+                continue
+            dotted = name if name.startswith("entbound.") else f"entbound.{name}"
+            checked += 1
+            try:
+                _resolve(dotted)
+            except (ImportError, AttributeError):
+                missing.append(span)
+        assert checked >= 12
+        assert missing == []
+
+    def test_module_table_call_forms_match_signatures(self):
+        checked, wrong = 0, []
+        for row in re.findall(r"^\| `(entbound\.\w+)` \|(.*)$", self._readme(), flags=re.M):
+            module = importlib.import_module(row[0])
+            for name, args in re.findall(r"`(\w+)\(([^`]*)\)`", row[1]):
+                checked += 1
+                written = [a.strip() for a in args.split(",") if a.strip()]
+                fn = getattr(module, name, None)
+                if fn is None:
+                    wrong.append(f"{row[0]}.{name}: missing")
+                    continue
+                actual = [p.name if p.default is inspect.Parameter.empty
+                          else f"{p.name}={p.default!r}"
+                          for p in inspect.signature(fn).parameters.values()]
+                if written != actual:
+                    wrong.append(f"{row[0]}.{name}({', '.join(actual)})")
+        assert checked >= 4
+        assert wrong == []

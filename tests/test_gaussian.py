@@ -1,5 +1,5 @@
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,16 +322,14 @@ class TestPrincipalCosines:
         want = kg_upper_bound_projectors(state, regions)
         assert abs(upper_of(state, regions) - want) <= 2e-6 * want
 
-    def test_rank_truncated_region_gives_zero(self, lattice_state):
+    def test_rank_truncated_region_gives_zero(self, lattice_state, monkeypatch):
         regions = sweep_regions(6)
-        token = config.PROFILE.set(dataclasses.replace(config.STRICT, rank_cut=0.34))
-        try:
-            with pytest.warns(UserWarning, match="numerically dependent"):
-                cosines, full = principal_cosines(lattice_state, regions)
-            with pytest.warns(UserWarning, match="numerically dependent"):
-                lower = lower_of(lattice_state, regions)
-        finally:
-            config.PROFILE.reset(token)
+        monkeypatch.setattr(config, "RANK_CUT", 0.34)
+        with pytest.warns(UserWarning, match="numerically dependent"):
+            cosines, full = principal_cosines(lattice_state, regions)
+        with pytest.warns(UserWarning, match="numerically dependent"):
+            lower = lower_of(lattice_state, regions)
+        monkeypatch.undo()
         assert not full and lower == 0.0
         # the truncated complement no longer matches region B's span, and its
         # top cosine overshoots the true one
@@ -465,3 +463,18 @@ class TestRegionSpecValidation:
     def test_geometry_rejects_non_finite_or_non_positive(self, spacing, mass):
         with pytest.raises(GaussianError, match="positive and finite"):
             LatticeGeometry(16, spacing, mass)
+
+    @pytest.mark.parametrize("spacing, mass, match", [
+        (0.25, 1e200, "mass 1e+200 is too large"),
+        (1e-160, 1.0, "spacing 1e-160 is too small"),
+        (1e-154, 1.0, "spacing 1e-154 is too small"),
+        (2.1e-154, 1.3e154, "spacing 2.1e-154 is too small for mass 1.3e+154"),
+    ])
+    def test_geometry_rejects_an_overflowing_kinetic_operator(self, spacing, mass, match):
+        with pytest.raises(GaussianError, match=re.escape(match)):
+            LatticeGeometry(16, spacing, mass)
+
+    def test_kinetic_operator_at_the_edge_of_the_float_range(self):
+        # mass**2 + 4/spacing**2 ~ 1.8e308 stays finite, and the state builds
+        state = build_state(LatticeGeometry(16, 1.5e-154, 1.0))
+        assert np.all(np.isfinite(state.c_power(0.25)))

@@ -15,7 +15,6 @@ from entbound.integrable import (
     bessel_k0,
     dirac_halfline_bound,
     legendre_rule,
-    s2_eval,
     sinh_gordon,
     strip_sup_norm,
     t_kernel_trace_norm,
@@ -29,6 +28,7 @@ from oracles import (
     a_kernel_value,
     bessel_k0_numpy,
     hadamard_bound_check,
+    s2_eval,
     strip_sup_norm_scalar,
     t_kernel_matrix_complex,
     t_kernel_trace_norm_fixed,

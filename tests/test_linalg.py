@@ -75,7 +75,7 @@ class TestMatrixFunction:
 
     @pytest.mark.parametrize("p", [0.25, 0.5])
     def test_clip_floor_tolerates_round_off(self, p):
-        # -5e-11 is within psd_slack and 5e-13 within support_cut: both are
+        # -5e-11 is within psd_slack and 5e-13 within SUPPORT_CUT: both are
         # round-off on the support's edge and map to zero
         m = np.diag([1.0, -5e-11, 5e-13]).astype(complex)
         out = matrix_power_psd(m, p)
