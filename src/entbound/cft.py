@@ -135,25 +135,31 @@ class SpectrumTable:
 
 
 def free_scalar_character_log(ratio: float) -> float:
-    """log of the full free-scalar partition sum at the given ratio.
+    """log of the full free-scalar partition sum at the given ratio, rounded up.
 
     Evaluated through the convergent product form sum_n n^2 * (-log(1-q^n)),
     which reaches ratios arbitrarily close to one where any finite level
-    truncation fails.
+    truncation fails.  The terms n < M are summed with ``math.fsum``, where
+    M >= 2 is the first index with q^M <= 1e-12.  Since -log(1-x) <=
+    x/(1-x), the rest is at most sum_{n>=M} n^2 q^n / (1-q^M), which is
+    added in its closed form q^M [M^2 (1-q)^2 + 2 M q (1-q) + q (1+q)] /
+    ((1-q)^3 (1-q^M)).  An error of one ulp in q^n moves its term by at most
+    A = q / ((1-q)(-log(1-q))) ulps, since x / ((1-x)(-log(1-x))) rises with
+    x; so, with pow and log1p within one ulp, the value is raised by
+    (2 A + 8) units of round-off and stays an upper bound.
     """
     if not 0 < ratio < 1:
         raise CftError("ratio must lie in (0, 1)")
-    total = 0.0
-    n = 1
-    while True:
-        term = -n * n * math.log1p(-(ratio**n))
-        total += term
-        if term < 1e-12 * max(total, 1e-300) and n > 10:
-            break
-        n += 1
-        if n > 10_000_000:  # pragma: no cover
-            raise CftError("product form did not converge")
-    return total
+    q = ratio
+    m = max(2, math.ceil(math.log(1e-12) / math.log(q)))
+    if m > 10_000_000:
+        raise CftError(f"ratio {ratio} is too close to 1: the product form needs {m} terms")
+    head = math.fsum(-n * n * math.log1p(-(q**n)) for n in range(1, m))
+    qm = q**m
+    tail = qm * (m * m * (1.0 - q) ** 2 + 2.0 * m * q * (1.0 - q) + q * (1.0 + q)) / (
+        (1.0 - q) ** 3 * (1.0 - qm))
+    amp = q / ((1.0 - q) * -math.log1p(-q))
+    return (head + tail) * (1.0 + (2.0 * amp + 8.0) * 2.0**-53)
 
 
 def concentric_bound(spectrum, ratio: float) -> float:

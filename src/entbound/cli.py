@@ -334,7 +334,7 @@ def cmd_sectors(args) -> int:
         p, m, n = (int(x) for x in args.minimal_model.split(","))
         out["labels"] = [p, m, n]
         out["dim"] = sectors_mod.minimal_model_dim(p, m, n)
-    elif args.mu_index_p:
+    elif args.mu_index_p is not None:
         out["p"] = args.mu_index_p
         out["mu_index"] = sectors_mod.minimal_model_mu_index(args.mu_index_p)
     else:
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--young")
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--minimal-model")
-    p.add_argument("--mu-index", dest="mu_index_p", type=int, default=0)
+    p.add_argument("--mu-index", dest="mu_index_p", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sectors)
 

@@ -72,6 +72,8 @@ def minimal_model_sectors(p: int) -> list[tuple[tuple[int, int], float]]:
     Labels are identified under (m, n) ~ (p - m, p + 1 - n); the
     lexicographically smaller representative is kept.
     """
+    if p < 3:
+        raise SectorError("need p >= 3")
     seen = set()
     out = []
     for m in range(1, p):

@@ -404,7 +404,7 @@ def t_kernel_matrix_complex(kappa: float, s: float, n: int, theta_max: float):
 
 
 def t_kernel_trace_norm_fixed(kappa: float, s: float, n: int = 96) -> float:
-    """T-kernel trace norm from exactly two grids, without adaptive doubling.
+    """T-kernel trace norm from exactly two grids, without the node ladder.
 
     Two SVDs, at n nodes and at 2n on [-theta_cutoff(s), theta_cutoff(s)],
     with the 0.5% gate on that pair; returns the value on the doubled grid.
@@ -997,6 +997,26 @@ def free_scalar_spectrum_4d(delta_max: int):
             m += 1
         coeffs = new
     return scalar_table([(d, c) for d, c in enumerate(coeffs) if c > 0])
+
+
+def free_scalar_character_log_mp(ratio: float, dps: int = 40):
+    """sum_n n^2 (-log(1 - q^n)) at ``dps`` digits for the float q = ratio,
+    term by term until a term falls below 1e-25 of the sum; for q <= 0.999
+    the terms left out sum to below 1e-21 of it.  Returns an mpf."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        q = mpmath.mpf(ratio)
+        total = mpmath.mpf(0)
+        qn = q
+        n = 1
+        while True:
+            term = -n * n * mpmath.log1p(-qn)
+            total += term
+            if term < total * mpmath.mpf(10) ** -25:
+                return total
+            n += 1
+            qn *= q
 
 
 def cardy_degeneracies(central_charge: float, k_max: int):

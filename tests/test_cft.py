@@ -22,6 +22,7 @@ from entbound.cft import (
 from oracles import (
     cardy_degeneracies,
     concentric_config,
+    free_scalar_character_log_mp,
     free_scalar_spectrum_4d,
     scalar_table,
 )
@@ -205,6 +206,17 @@ class TestConcentricBound:
         table = free_scalar_spectrum_4d(40)
         ratio = 0.2
         assert abs(concentric_bound(table, ratio) - free_scalar_character_log(ratio)) <= 1e-8
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 0.999])
+    def test_character_is_a_tight_upper_bound(self, ratio):
+        got = free_scalar_character_log(ratio)
+        want = free_scalar_character_log_mp(ratio)
+        assert got >= want
+        assert float((got - want) / want) <= 1e-12
+
+    def test_character_rejects_a_ratio_too_close_to_one(self):
+        with pytest.raises(CftError, match="too close to 1"):
+            free_scalar_character_log(1.0 - 1e-7)
 
     def test_truncation_rejected_near_one(self):
         table = free_scalar_spectrum_4d(30)

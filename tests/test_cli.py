@@ -620,6 +620,13 @@ class TestErrorExit:
         assert err.startswith("error: ") and match in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["-4", "0", "1", "2"])
+    def test_mu_index_below_3_exits_1(self, p, capsys):
+        assert main(["sectors", f"--mu-index={p}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "need p >= 3" in captured.err
+        assert captured.out == ""
+
     def test_unknown_measure_rejected_before_computing(self, phi_plus_file, tmp_path,
                                                        monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -251,10 +251,10 @@ class TestAdaptiveTraceNorm:
         monkeypatch.setattr(np.linalg, "svd", counting)
         return sizes
 
-    @pytest.mark.parametrize("kappa", [math.pi, math.pi / 2, -math.pi / 2],
-                             ids=["pi", "pi/2", "-pi/2"])
+    @pytest.mark.parametrize("kappa", [math.pi, math.pi / 2, -math.pi / 2, 0.3],
+                             ids=["pi", "pi/2", "-pi/2", "0.3"])
     def test_matches_fixed_two_grid_oracle(self, kappa):
-        for s in np.geomspace(0.004, 40, 60):
+        for s in np.geomspace(1e-3, 400, 60):
             want = t_kernel_trace_norm_fixed(kappa, float(s), 96)
             got = t_kernel_trace_norm(kappa, float(s))
             assert abs(got - want) <= 1e-13 * abs(want), s
@@ -267,12 +267,31 @@ class TestAdaptiveTraceNorm:
     def test_small_decay_reaches_the_cap(self, monkeypatch):
         sizes = self.svd_sizes(monkeypatch)
         t_kernel_trace_norm(math.pi, 1e-3)
-        assert sizes == [24, 48, 96, 192]
+        assert sizes == [36, 48, 72, 96, 144, 192]
 
     def test_gate_message_names_both_node_counts(self, monkeypatch):
         monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
         with pytest.raises(IntegrableError, match="at 4 nodes .* at 8 nodes"):
             t_kernel_trace_norm(math.pi, 1e-4)
+
+    def test_gate_compares_192_with_96_nodes(self, monkeypatch):
+        # 144 and 192 nodes nearly agree, but 192 against 96 is 1% apart
+        sums = {96: 1.0, 144: 1.0099, 192: 1.01}
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, compute_uv: np.array([sums.get(a.shape[0], a.shape[0])]))
+        with pytest.raises(IntegrableError, match="1.0 at 96 nodes vs 1.01 at 192 nodes"):
+            t_kernel_trace_norm(math.pi, 1.0)
+
+    def test_few_corridor_trace_norms_reach_96_nodes(self, monkeypatch):
+        # SVD work counted, not timed: a 96-node SVD costs about 7x a 48-node one
+        sizes = self.svd_sizes(monkeypatch)
+        calls = []
+        real = integrable.t_kernel_trace_norm
+        monkeypatch.setattr(integrable, "t_kernel_trace_norm",
+                            lambda kappa, s: calls.append(s) or real(kappa, s))
+        dirac_halfline_bound(1.0, 0.1, transverse_circle_spectrum(1.0, 0.1, 0.1))
+        assert len(calls) > 200
+        assert sizes.count(96) <= 0.05 * len(calls)
 
 
 class TestRealNystromForm:
@@ -300,7 +319,7 @@ class TestRealNystromForm:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         t_kernel_trace_norm(math.pi, 1e-3)
-        assert [shape for _, shape in seen] == [(n, n) for n in (24, 48, 96, 192)]
+        assert [shape for _, shape in seen] == [(n, n) for n in (36, 48, 72, 96, 144, 192)]
         assert all(dtype == np.float64 for dtype, _ in seen)
 
 
