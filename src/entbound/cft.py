@@ -1,6 +1,7 @@
 """Conformal bound evaluators: cross-ratios of nested diamonds, deformed
 multiplet counts, partition-function bounds for concentric and general
-configurations, the free-scalar character and chiral interval bounds."""
+configurations (per table multiplet, (2 sL + 1)(2 sR + 1) components), the
+free-scalar character and chiral interval bounds."""
 
 from __future__ import annotations
 
@@ -112,6 +113,11 @@ class SpectrumRow:
             if s < 0 or abs(2 * s - round(2 * s)) > 1e-12:
                 raise CftError("spins must be nonnegative half-integers")
 
+    @property
+    def components(self) -> tuple[int, int]:
+        """(2 spin_l + 1, 2 spin_r + 1): the component counts of one multiplet."""
+        return int(round(2 * self.spin_l)) + 1, int(round(2 * self.spin_r)) + 1
+
 
 @dataclass(frozen=True)
 class SpectrumTable:
@@ -166,7 +172,8 @@ def concentric_bound(spectrum, ratio: float) -> float:
     """log of the spectrum-weighted partition sum at the given size ratio.
 
     Accepts a SpectrumTable or the named free-scalar tower, which is
-    evaluated in its exact product form.  A table is summed exactly as
+    evaluated in its exact product form.  A row counts ``components`` per
+    multiplet, as ``general_bound_3p1`` does.  A table is summed exactly as
     given, so its value bounds that table, not a spectrum it truncates; a
     heuristic tail estimate only rejects tables that look cut off too early
     at this ratio.
@@ -179,7 +186,7 @@ def concentric_bound(spectrum, ratio: float) -> float:
         raise CftError(f"unknown named spectrum {spectrum!r}")
     if not spectrum.has_identity():
         raise CftError("spectrum must contain the identity row (delta 0, mult 1)")
-    terms = [row.mult * ratio**row.delta for row in spectrum.rows]
+    terms = [row.mult * math.prod(row.components) * ratio**row.delta for row in spectrum.rows]
     total = float(np.sum(terms))
     if len(terms) >= 3 and terms[-2] > 0:
         q = terms[-1] / terms[-2]
@@ -204,8 +211,7 @@ def general_bound_3p1(spectrum: SpectrumTable, tau: float, theta: float) -> floa
         raise CftError("need tau > |theta|")
     total = 0.0
     for row in spectrum.rows:
-        nl = int(round(2 * row.spin_l)) + 1
-        nr = int(round(2 * row.spin_r)) + 1
+        nl, nr = row.components
         total += row.mult * math.exp(-tau * row.delta) * quantum_integer(nr, theta) * quantum_integer(nl, theta)
     return math.log(total)
 

@@ -35,8 +35,9 @@ MAX_SWEEP_POINTS = 100_000
 def parse_points(spec: str, integer: bool = False):
     """Parse a sweep spec: 'lo..hi', 'lo..hi..step', or a comma list.
 
-    A nan or infinite bound, step or point, or a range of more than
-    ``MAX_SWEEP_POINTS`` points, raises ``ValueError``.
+    A nan or infinite bound, step or point, a range of more than
+    ``MAX_SWEEP_POINTS`` points, or with ``integer`` a point that is not an
+    integer, raises ``ValueError``.
     """
     if ".." in spec:
         values = [float(p) for p in spec.split("..")]
@@ -58,7 +59,10 @@ def parse_points(spec: str, integer: bool = False):
     else:
         pts = values
     if integer:
-        return [int(round(p)) for p in pts]
+        bad = next((p for p in pts if not p.is_integer()), None)
+        if bad is not None:
+            raise ValueError(f"sweep spec {spec!r} holds {bad!r}, which is not an integer")
+        return [int(p) for p in pts]
     return pts
 
 
@@ -171,7 +175,11 @@ def cmd_gaussian(args) -> int:
     from . import gaussian as gaussian_mod
 
     geom = gaussian_mod.LatticeGeometry(args.sites, args.spacing, args.mass, args.boundary)
-    a_lo, a_hi = (int(x) for x in args.region_a.split(".."))
+    try:
+        a_lo, a_hi = (int(x) for x in args.region_a.split(".."))
+    except ValueError:
+        raise ValueError(f"--regionA {args.region_a} must have the form lo..hi, "
+                         "two integer sites") from None
     if not 0 <= a_lo <= a_hi < geom.sites:
         raise ValueError(f"--regionA {args.region_a} must be a range within sites "
                          f"0..{geom.sites - 1}")
@@ -231,12 +239,7 @@ def cmd_dirac(args) -> int:
     def one(eps):
         row = {"eps": eps, "error": ""}
         try:
-            spectrum = (
-                integrable_mod.transverse_circle_spectrum(args.circle_radius, eps, args.delta)
-                if args.circle_radius is not None
-                else None
-            )
-            row["value"] = integrable_mod.dirac_halfline_bound(args.m, eps, spectrum)
+            row["value"] = integrable_mod.dirac_halfline_bound(args.m, eps, args.circle_radius)
             row["log_ref"] = abs(math.log(2 * args.m * eps))
         except integrable_mod.IntegrableError as exc:
             row["error"] = str(exc)
@@ -427,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--eps", default="0.1,0.01,0.001")
     p.add_argument("--circle-radius", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dirac)
 

@@ -1,5 +1,5 @@
-"""Factorizing S-matrix machinery and the kernels controlling the vacuum
-entanglement bound of integrable models, plus the half-line Dirac bound.
+"""Factorizing S-matrix machinery, the kernels controlling the vacuum bound of
+integrable models, and the half-line Dirac bound summed over circle modes.
 
 The scattering function is a finite Blaschke-type product over poles on the
 imaginary rapidity axis, and its strip norm is the closed-form product of
@@ -17,6 +17,7 @@ function are plain floating-point sums.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -264,44 +265,29 @@ def vacuum_bound(s_matrix: SMatrix, mr: float, kappa: float, delta: float) -> Va
 # half-line Dirac bound
 
 
-def transverse_circle_spectrum(radius: float, eps: float, delta: float):
-    """Antiperiodic transverse eigenvalues (j + 1/2)/radius up to the cutoff
-    where exp(-eps * lam / (1 + delta)) drops below 1e-12."""
-    for name, value in (("radius", radius), ("eps", eps)):
-        if not 0 < value < math.inf:
-            raise IntegrableError(f"{name} must be positive and finite, got {value}")
-    if not -1 < delta < math.inf:
-        raise IntegrableError(f"delta must be above -1 and finite, got {delta}")
-    lam_max = (1.0 + delta) * math.log(1e12) / eps
-    out = []
-    j = 0
-    while (j + 0.5) / radius <= lam_max:
-        out.append((j + 0.5) / radius)
-        j += 1
-    return out
-
-
-def dirac_halfline_bound(m: float, eps: float, transverse_spectrum=None) -> float:
+def dirac_halfline_bound(m: float, eps: float, circle_radius: float | None = None) -> float:
     """Entanglement bound for a half-line across a corridor of width eps.
 
-    Each transverse mode contributes four times the trace norm of the
-    kernel at kappa = pi and decay 2 * eps * sqrt(m^2 + lam^2); modes whose
-    contribution falls below 1e-14 of the running total (or of 1) are
-    dropped, the contributions falling as the mass rises.
-    ``transverse_spectrum`` None means no transverse circle (one mode of mass
-    m); an empty spectrum, every mode above the cutoff, sums to 0.
+    Each transverse mode of mass m_j contributes four times the trace norm
+    of the kernel at kappa = pi and decay 2 * eps * m_j.  ``circle_radius``
+    None means no transverse circle (one mode of mass m); otherwise the
+    antiperiodic modes lambda_j = (j + 1/2)/radius, of mass sqrt(m^2 +
+    lambda_j^2), are walked in ascending order.  The contributions fall as
+    the mass rises, and the sum stops at the first one below 1e-14 of the
+    running total (or of 1).
     """
     for name, value in (("mass m", m), ("corridor width eps", eps)):
         if not 0 < value < math.inf:
             raise IntegrableError(f"{name} must be positive and finite, got {value}")
-    masses = [m] if transverse_spectrum is None else [
-        math.sqrt(m * m + lam * lam) for lam in transverse_spectrum
-    ]
+    if circle_radius is None:
+        return 4.0 * t_kernel_trace_norm(math.pi, 2.0 * m * eps)
+    if not 0 < circle_radius < math.inf:
+        # an infinite radius puts every mode at mass m, and the sum would not stop
+        raise IntegrableError(f"radius must be positive and finite, got {circle_radius}")
     total = 0.0
-    for mj in sorted(masses):
-        s = 2.0 * mj * eps
-        contrib = 4.0 * t_kernel_trace_norm(math.pi, s)
+    for j in itertools.count():
+        lam = (j + 0.5) / circle_radius
+        contrib = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * math.sqrt(m * m + lam * lam) * eps)
         total += contrib
         if contrib < 1e-14 * max(total, 1.0):
-            break
-    return total
+            return total

@@ -387,21 +387,23 @@ def dominating_separable(dec: SeparableDecomposition) -> tuple[np.ndarray, float
     dominates the reconstructed state and has trace equal to the cost.
     """
     sigma = None
+    cost = 0.0
     for f, g in dec.pairs:
-        fa = _abs_parts(f)
-        gb = _abs_parts(g)
-        term = 0.5 * (np.kron(fa[1], gb[1]) + np.kron(fa[0], gb[0]))
+        fa, fas, norm_f = _abs_parts(f)
+        gb, gbs, norm_g = _abs_parts(g)
+        term = 0.5 * (np.kron(fas, gbs) + np.kron(fa, gb))
         sigma = term if sigma is None else sigma + term
+        cost += norm_f * norm_g
     sigma = 0.5 * (sigma + sigma.conj().T)
-    return sigma, dec.cost()
+    return sigma, cost
 
 
-def _abs_parts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|F|, |F*|) via SVD; both PSD with trace equal to the trace norm."""
+def _abs_parts(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(|F|, |F*|, ||F||_1) from one SVD; both PSD with trace the trace norm."""
     u, s, vh = np.linalg.svd(np.asarray(f, dtype=complex))
     absf = (vh.conj().T * s) @ vh
     absfs = (u * s) @ u.conj().T
-    return absf, absfs
+    return absf, absfs, float(np.sum(s))
 
 
 def matrix_unit_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
@@ -426,12 +428,12 @@ def log_dominance_upper(rho: DensityMatrix) -> MeasureResult:
     """
     if rho.dimB == 1:
         raise MeasureError("logarithmic dominance needs a bipartite state")
-    dec = matrix_unit_decomposition(rho)
     dec_b = matrix_unit_decomposition(swap_sides(rho))
-    if dec_b.cost() < dec.cost():
-        dec = SeparableDecomposition(pairs=[(g, f) for f, g in dec_b.pairs])
+    sides = [matrix_unit_decomposition(rho),
+             SeparableDecomposition(pairs=[(g, f) for f, g in dec_b.pairs])]
+    (sigma, mu), dec = min(((dominating_separable(d), d) for d in sides),
+                           key=lambda side: side[0][1])
     dec.check_reconstructs(rho)
-    sigma, mu = dominating_separable(dec)
     value = float(np.log(mu))
     h_norm = modular.relative_entropy(rho, DensityMatrix(rho.dimA, rho.dimB, sigma / mu))
     return MeasureResult(

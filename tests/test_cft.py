@@ -235,11 +235,15 @@ class TestConcentricBound:
 
 class TestGeneralBound:
     def test_reduces_to_concentric_at_zero_theta(self):
-        table = free_scalar_spectrum_4d(20)
+        # the second table has a spinning row: both routes count its
+        # (2 sL + 1)(2 sR + 1) = 4 components
+        spinning = SpectrumTable((SpectrumRow(0.0, 0.0, 0.0, 1), SpectrumRow(2.0, 0.5, 0.5, 1),
+                                  SpectrumRow(20.0, 0.0, 0.0, 1), SpectrumRow(40.0, 0.0, 0.0, 1)))
         tau = 2.0
-        got = general_bound_3p1(table, tau, 0.0)
-        want = concentric_bound(table, math.exp(-tau))
-        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        for table in (free_scalar_spectrum_4d(20), spinning):
+            got = general_bound_3p1(table, tau, 0.0)
+            want = concentric_bound(table, math.exp(-tau))
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     def test_single_spinning_multiplet(self):
         table = SpectrumTable(

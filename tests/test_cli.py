@@ -195,11 +195,10 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("argv, match", [
         (["dirac", "--m", "1", "--eps", "0.1", "--circle-radius", "nan"], "radius"),
-        (["dirac", "--m", "1", "--eps", "0.1", "--circle-radius", "1", "--delta", "nan"], "delta"),
         (["dirac", "--m", "inf", "--eps", "0.1"], "mass m"),
         (["dirac", "--m", "nan", "--eps", "0.1"], "mass m"),
         (["integrable", "--kappa", "nan", "--mR", "10"], "kappa"),
-    ], ids=["circle-radius-nan", "delta-nan", "m-inf", "m-nan", "kappa-nan"])
+    ], ids=["circle-radius-nan", "m-inf", "m-nan", "kappa-nan"])
     def test_non_finite_input_is_a_row_error(self, argv, match, tmp_path):
         out = tmp_path / "rows.csv"
         assert main(argv + ["--out", str(out)]) == 2
@@ -611,6 +610,8 @@ class TestErrorExit:
         (["--regionA", "9..4"], "must be a range within sites 0..63"),
         (["--trials", "1", "--mass", "1e200"], "mass 1e+200 is too large: mass**2 overflows"),
         (["--trials", "1", "--spacing", "1e-160"], "spacing 1e-160 is too small for mass 1.0"),
+        (["--gap", "2..4..0.75"], "sweep spec '2..4..0.75' holds 2.75, which is not an integer"),
+        (["--regionA", "4..9..2"], "--regionA 4..9..2 must have the form lo..hi"),
     ])
     def test_bad_gaussian_input_exits_1(self, option, match, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -19,7 +19,6 @@ from entbound.integrable import (
     strip_sup_norm,
     t_kernel_trace_norm,
     theta_cutoff,
-    transverse_circle_spectrum,
     vacuum_bound,
 )
 from oracles import (
@@ -290,7 +289,7 @@ class TestAdaptiveTraceNorm:
         real = integrable.t_kernel_trace_norm
         monkeypatch.setattr(integrable, "t_kernel_trace_norm",
                             lambda kappa, s: calls.append(s) or real(kappa, s))
-        dirac_halfline_bound(1.0, 0.1, transverse_circle_spectrum(1.0, 0.1, 0.1))
+        dirac_halfline_bound(1.0, 0.1, 1.0)
         assert len(calls) > 200
         assert sizes.count(96) <= 0.05 * len(calls)
 
@@ -622,7 +621,7 @@ class TestDiracBound:
     def test_single_mode_matches_kernel(self):
         lam = 2.0
         m, eps = 1.0, 0.01
-        got = dirac_halfline_bound(m, eps, [lam])
+        got = dirac_halfline_bound(math.hypot(m, lam), eps)
         want = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * eps * math.sqrt(m * m + lam * lam))
         assert abs(got - want) <= 1e-9 * want
 
@@ -636,18 +635,24 @@ class TestDiracBound:
     def test_d2_area_scaling(self):
         totals = {}
         for eps in (0.2, 0.1, 0.05):
-            spec = transverse_circle_spectrum(1.0, eps, 0.1)
-            totals[eps] = dirac_halfline_bound(1.0, eps, spec)
+            totals[eps] = dirac_halfline_bound(1.0, eps, 1.0)
         # compare against the (1/eps) |log(m eps)| profile across halvings
         ratios = [totals[e] / ((1.0 / e) * abs(math.log(e))) for e in (0.2, 0.1, 0.05)]
         assert max(ratios) / min(ratios) <= 2.0
 
-    def test_circle_spectrum_cutoff(self):
-        spec = transverse_circle_spectrum(1.0, 0.1, 0.1)
-        assert spec[0] == 0.5
-        assert all(l2 > l1 for l1, l2 in zip(spec, spec[1:]))
-        lam_max = (1.1) * math.log(1e12) / 0.1
-        assert spec[-1] <= lam_max
+    @pytest.mark.parametrize("m, eps, radius", [(1.0, 1.0, 1.0), (2.0, 3.0, 3.0)])
+    def test_sum_stops_only_on_its_contribution_rule(self, m, eps, radius):
+        # the modes (j + 1/2)/radius in ascending order, up to the first
+        # contribution below 1e-14 of the running total
+        total, j = 0.0, 0
+        while True:
+            lam = (j + 0.5) / radius
+            contrib = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * math.sqrt(m * m + lam * lam) * eps)
+            total += contrib
+            if contrib < 1e-14 * max(total, 1.0):
+                break
+            j += 1
+        assert dirac_halfline_bound(m, eps, radius) == total
 
     @staticmethod
     def corridor_values(tmp_path, extra):
@@ -659,45 +664,36 @@ class TestDiracBound:
     def test_value_does_not_rise_as_the_circle_shrinks(self, tmp_path):
         values = []
         for radius in (1, 0.01, 0.004, 0.001):
-            spec = transverse_circle_spectrum(radius, 0.2, 0.1)
-            values.append(dirac_halfline_bound(1.0, 0.2, spec))
+            values.append(dirac_halfline_bound(1.0, 0.2, radius))
             (row,) = self.corridor_values(tmp_path, ["--circle-radius", str(radius)])
             assert float(row["value"]) == values[-1]
         assert all(b <= a for a, b in zip(values, values[1:])), values
-        assert values[-1] == 0.0
+        # the first mode alone, at mass sqrt(1 + 500^2), is all but zero
+        assert 0 < values[-1] < 1e-40
 
     def test_no_circle_is_none(self, tmp_path):
         (row,) = self.corridor_values(tmp_path, [])
         assert float(row["value"]) == dirac_halfline_bound(1.0, 0.2)
         assert dirac_halfline_bound(1.0, 0.2) == dirac_halfline_bound(1.0, 0.2, None) > 1.0
-        assert dirac_halfline_bound(1.0, 0.2, []) == 0.0
 
-    def test_bound_takes_no_delta(self, tmp_path):
+    def test_bound_takes_no_delta(self):
         with pytest.raises(TypeError):
             dirac_halfline_bound(1.0, 0.2, None, delta=0.1)
-        # --delta still sets the spectrum cutoff: the one mode at 125 needs 1 + delta >= 0.905
-        (kept,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "0.1"])
-        (cut,) = self.corridor_values(tmp_path, ["--circle-radius", "0.004", "--delta", "-0.2"])
-        assert float(kept["value"]) > 0.0 and float(cut["value"]) == 0.0
+        # an old manifest's `dirac --delta` no longer parses
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dirac", "--eps", "0.2", "--circle-radius", "1", "--delta", "0.1"])
+        assert exc.value.code == 2
 
-    # an infinite radius or delta is rejected by the same checks; it is not
-    # run here because without them the mode list grows without end
+    # an infinite radius is rejected by the same check; it is not run here
+    # because without it the mode sum would not stop
     @pytest.mark.parametrize("args, match", [
-        ((math.nan, 0.2, 0.1), "radius"), ((1.0, math.inf, 0.1), "eps"),
-        ((1.0, 0.2, math.nan), "delta"),
+        ((1.0, 0.2, math.nan), "radius"), ((1.0, math.inf, 1.0), "eps"),
     ])
     def test_circle_spectrum_rejects_non_finite_input(self, args, match):
         with pytest.raises(IntegrableError, match=match):
-            transverse_circle_spectrum(*args)
+            dirac_halfline_bound(*args)
 
     @pytest.mark.parametrize("m, eps", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)])
     def test_bound_rejects_non_finite_input(self, m, eps):
         with pytest.raises(IntegrableError, match="must be positive and finite"):
             dirac_halfline_bound(m, eps)
-
-    @pytest.mark.parametrize("delta", [-1.0, -1.5])
-    def test_circle_spectrum_rejects_delta_at_or_below_minus_one(self, delta, tmp_path):
-        with pytest.raises(IntegrableError, match="delta"):
-            transverse_circle_spectrum(1.0, 0.2, delta)
-        (row,) = self.corridor_values(tmp_path, ["--circle-radius", "1", "--delta", str(delta)])
-        assert row["value"] == "" and "delta" in row["error"]
