@@ -116,9 +116,13 @@ def region_projectors(state: LatticeGaussianState, indices) -> tuple[np.ndarray,
     return out[0], out[1]  # (U_+, U_-): plus-sector uses C^{-1/4}
 
 
-def principal_cosines(state: LatticeGaussianState, regions: RegionSpec) -> tuple[list[np.ndarray], bool]:
+def principal_cosines(
+    state: LatticeGaussianState, regions: RegionSpec, bases_a=None
+) -> tuple[list[np.ndarray], bool]:
     """Cosines of the principal angles between the A and B one-particle
     subspaces, one array per sector, and whether no basis was truncated.
+    ``bases_a`` is ``region_projectors(state, regions.indices_a)`` when the
+    caller already has it (a sweep that keeps region A fixed).
 
     Sector +/- takes the singular values of (1 - U_{B'-/+} U_{B'-/+}^T)
     U_{A+/-}, B' the complement of B (Bjorck & Golub, Math. Comp. 27, 579
@@ -132,7 +136,7 @@ def principal_cosines(state: LatticeGaussianState, regions: RegionSpec) -> tuple
     if not set(regions.indices_a + regions.indices_b) <= set(range(n)):
         raise GaussianError(f"region sites must lie in 0..{n - 1}")
     bprime = sorted(set(range(n)) - set(regions.indices_b))
-    ua = region_projectors(state, regions.indices_a)
+    ua = region_projectors(state, regions.indices_a) if bases_a is None else bases_a
     ub = region_projectors(state, bprime)
     full = all(u.shape[1] == len(regions.indices_a) for u in ua) and all(
         u.shape[1] == len(bprime) for u in ub)
@@ -181,14 +185,17 @@ def decay_row(
     region_a: tuple[int, ...],
     gap: int,
     lower: bool = False,
+    bases_a=None,
 ) -> tuple[int, float, float, float]:
     """(gap_sites, separation r, upper_bound, lower_bound) at one A-B gap.
 
     B is everything beyond the gap to the right of A.  One set of principal
     cosines feeds both bounds; the Weyl-correlator one is 0 unless ``lower``.
+    A sweep over gaps passes region A's ``region_projectors`` as ``bases_a``,
+    so they are built once.
     """
     n = state.geometry.sites
     region_b = range(max(region_a) + 1 + int(gap), n)
-    cosines, full = principal_cosines(state, RegionSpec(tuple(region_a), tuple(region_b)))
+    cosines, full = principal_cosines(state, RegionSpec(tuple(region_a), tuple(region_b)), bases_a)
     return (int(gap), gap * state.geometry.spacing, kg_upper_bound(cosines),
             correlator_lower_bound(cosines, full, n) if lower else 0.0)

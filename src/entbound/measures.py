@@ -2,8 +2,8 @@
 
 Exact values where they exist (mutual information, pure states), certified
 upper bounds everywhere else: a variational upper bound on the relative
-entanglement entropy (tangent steps for the factor vectors and entropic
-steps for the weights of a separable mixture), a constructive
+entanglement entropy (quasi-Newton steps in the log-weights and unit factor
+vectors of a separable mixture), a constructive
 dominating-separable-functional bound on the logarithmic dominance, a
 modular (nuclear-norm) bound, and a seesaw lower bound on the Bell
 correlation.  Each bound carries a certificate that can be re-verified
@@ -48,12 +48,13 @@ class SeparableAnsatz:
     factors_b: np.ndarray          # (dimB, K) unit columns
 
     def __post_init__(self) -> None:
+        # each test is written so that a nan fails it
         p = np.asarray(self.weights, dtype=float)
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
+        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
             raise MeasureError("ansatz weights must be a probability vector")
         for mat in (self.factors_a, self.factors_b):
             norms = np.linalg.norm(mat, axis=0)
-            if np.max(np.abs(norms - 1.0)) > 1e-8:
+            if not np.max(np.abs(norms - 1.0)) <= 1e-8:
                 raise MeasureError("ansatz factor vectors must be unit norm")
 
     @property
@@ -81,7 +82,7 @@ class SeparableDecomposition:
 
     def check_reconstructs(self, rho: DensityMatrix, tol: float = 1e-9) -> None:
         err = float(np.linalg.norm(self.reconstruct() - rho.matrix))
-        if err > tol:
+        if not err <= tol:   # a nan error fails too
             raise MeasureError(f"decomposition does not reconstruct the state (error {err:.2e})")
 
 
@@ -234,34 +235,79 @@ def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: np.r
     return p / p.sum(), np.column_stack([c[1] for c in comps]), np.column_stack([c[2] for c in comps])
 
 
-def _direction(grad, p, av, bv):
-    """Weight gradients and sphere-tangent factor gradients of a stack."""
+# curvature pairs each E_R restart keeps for its quasi-Newton directions
+LBFGS_HISTORY = 8
+
+
+def _gradient(grad, p, av, bv):
+    """Gradient of H(rho, sigma) for a stack, one packed real vector per
+    restart (R, P), in the coordinates the descent moves: the log-weights
+    (the weights are their softmax), then the real and imaginary parts of
+    the factor vectors, tangent to their unit spheres.  Returns it with the
+    diagonal preconditioner (R, P) that turns it into the unweighted
+    first-order direction: 1/p on a log-weight, 1/(2p) on a factor entry,
+    so that a light component moves as fast as a heavy one.
+    """
     r, da, k = av.shape
     cols = (av[:, :, None, :] * bv[:, None, :, :]).reshape(r, -1, k)
     gv = grad @ cols
     gp = np.einsum("rik,rik->rk", cols.conj(), gv).real
     gm = gv.reshape(r, da, -1, k)
-    # unweighted factor gradients, projected onto the spheres' tangent planes
     ga = np.einsum("rabk,rbk->rak", gm, bv.conj())
     gb = np.einsum("rabk,rak->rbk", gm, av.conj())
     ga -= av * np.einsum("rak,rak->rk", av.conj(), ga).real[:, None, :]
     gb -= bv * np.einsum("rbk,rbk->rk", bv.conj(), gb).real[:, None, :]
-    # the normalised multiplicative step ignores a shift of gp; from its
-    # least value on the support every factor exp(-step gp) is in (0, 1]
-    floor = np.where(p > 0, gp, np.inf).min(axis=-1, keepdims=True)
-    return np.clip(gp - floor, 0.0, None), ga, gb
+    w = 2.0 * p[:, None, :]
+    g = np.concatenate([p * (gp - (p * gp).sum(axis=-1, keepdims=True)),
+                        (w * ga).reshape(r, -1).view(float),
+                        (w * gb).reshape(r, -1).view(float)], axis=1)
+    inv = 1.0 / np.maximum(p, 1e-300)
+    half = np.tile(np.repeat(0.5 * inv, 2, axis=-1), da + bv.shape[1])
+    return g, np.concatenate([inv, half], axis=1)
+
+
+def _two_loop(g, m, pairs, rho):
+    """L-BFGS directions H g for a stack: ``pairs`` (R, L, 2, P) holds the
+    steps s and gradient changes y, newest first, ``rho`` (R, L) is 1/(s.y),
+    0 on an empty slot.  H_0 = gamma diag(m), gamma = s.y / (y.m.y) from the
+    newest pair (1 with none)."""
+    q = g.copy()
+    alpha = np.zeros(rho.shape)
+    for j in range(rho.shape[1]):
+        alpha[:, j] = rho[:, j] * np.einsum("rp,rp->r", pairs[:, j, 0], q)
+        q -= alpha[:, j, None] * pairs[:, j, 1]
+    y = pairs[:, 0, 1]
+    ymy = np.einsum("rp,rp->r", y * m, y)
+    gamma = np.ones(len(rho))
+    has = rho[:, 0] > 0
+    gamma[has] = 1.0 / (rho[has, 0] * ymy[has])
+    d = gamma[:, None] * m * q
+    for j in range(rho.shape[1] - 1, -1, -1):
+        beta = rho[:, j] * np.einsum("rp,rp->r", pairs[:, j, 1], d)
+        d += (alpha[:, j] - beta)[:, None] * pairs[:, j, 0]
+    return d
 
 
 def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
     """Descend H(rho, sigma) from R stacked starts p (R, k), av (R, dA, k),
-    bv (R, dB, k) in lockstep.
+    bv (R, dB, k) in lockstep, along limited-memory BFGS directions (Liu &
+    Nocedal, Math. Prog. 45, 503 (1989)).
 
-    Each round tries one step for every live restart with one stacked
-    evaluation.  A restart keeps its own step size, iteration count and stop
-    reason: on acceptance it advances, grows its step by 1.3 and takes a new
-    direction; on rejection it halves its step.  So each restart follows the
-    trajectory it would follow alone.  A stopped restart leaves the stack.
-    Returns one (value, (p, av, bv), iterations, stop) per restart.
+    A step of length t along d multiplies the weights by exp(-t d) and
+    renormalises them, and moves each factor vector by -t d and back onto
+    its sphere.  Each restart keeps its own last ``LBFGS_HISTORY`` curvature
+    pairs, with the first-order direction of ``_gradient`` as the initial
+    inverse Hessian, and its own trial step, iteration count and stop
+    reason.  Each round tries one step for every live restart with one
+    stacked evaluation.  A step is accepted on sufficient decrease (Armijo,
+    1e-4); then the restart advances and takes a new direction, trying
+    step 1 (0.5 while it holds no pair, on the first-order direction).  A
+    rejected step is cut to the minimiser of a quadratic fit, kept within
+    [0.1, 0.5] of it; once a quasi-Newton step is cut below 1e-3 the
+    restart drops its pairs and tries the first-order direction.  So each
+    restart follows the trajectory it would follow alone.  A stopped
+    restart leaves the stack.  Returns one (value, (p, av, bv), iterations,
+    stop) per restart.
     """
     # Tr rho log rho does not depend on sigma: one eigvalsh per descent
     wr = np.linalg.eigvalsh(rho_m)
@@ -270,17 +316,21 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
     val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
     running, rel_tol_stop, no_descent, max_iter_stop, zero = range(5)
     names = ("", "rel_tol", "no_descent", "max_iter", "zero")
-    n_r = len(p)
+    n_r, da, k = av.shape
+    split = (k, k + 2 * da * k)   # where the packed a and b parts start
     # the working stack, updated in place: the restarts still running, with
     # their original index
     p, av, bv = p.copy(), av.copy(), bv.copy()
-    idx, step, iters = np.arange(n_r), np.full(n_r, 0.5), np.zeros(n_r, dtype=int)
+    idx, iters = np.arange(n_r), np.zeros(n_r, dtype=int)
+    g, m = _gradient(grad, p, av, bv)
+    d = m * g
+    step, slope = np.full(n_r, 0.5), np.einsum("rp,rp->r", g, d)
+    pairs = np.zeros((n_r, LBFGS_HISTORY, 2, g.shape[1]))
+    rho_hist = np.zeros((n_r, LBFGS_HISTORY))
     # an infeasible start stops before its first step
     stop = np.where(np.isfinite(val), running, no_descent)
-    fresh = stop == running   # restarts at the top of an iteration, owed a new direction
     # each restart's result, written when it stops
     final = [np.empty_like(part) for part in (p, av, bv, val, iters, stop)]
-    gp, ga, gb = np.zeros_like(p), np.zeros_like(av), np.zeros_like(bv)
     while True:
         # a restart that has not moved since its last top of an iteration
         # cannot newly meet these two tests, so they apply to the whole stack
@@ -291,35 +341,64 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
             for arr, part in zip(final, (p, av, bv, val, iters, stop)):
                 arr[idx[out]] = part[out]
             keep = ~out
-            idx, step, iters, stop, fresh = idx[keep], step[keep], iters[keep], stop[keep], fresh[keep]
-            p, av, bv, val, grad = p[keep], av[keep], bv[keep], val[keep], grad[keep]
-            gp, ga, gb = gp[keep], ga[keep], gb[keep]
+            idx, iters, stop, step, slope = idx[keep], iters[keep], stop[keep], step[keep], slope[keep]
+            p, av, bv, val, g, m, d = p[keep], av[keep], bv[keep], val[keep], g[keep], m[keep], d[keep]
+            pairs, rho_hist = pairs[keep], rho_hist[keep]
             if not idx.size:
                 break
-        if fresh.all():
-            gp, ga, gb = _direction(grad, p, av, bv)
-        elif fresh.any():
-            gp[fresh], ga[fresh], gb[fresh] = _direction(grad[fresh], p[fresh], av[fresh], bv[fresh])
-        p2 = p * np.exp(-step[:, None] * gp)
+        r = len(idx)
+        tp, ta, tb = np.split(-step[:, None] * d, split, axis=1)
+        # shifted so every factor exp(.) is in (0, 1]
+        p2 = p * np.exp(tp - tp.max(axis=-1, keepdims=True))
         p2 /= p2.sum(axis=-1, keepdims=True)
-        a2 = av - step[:, None, None] * ga
-        b2 = bv - step[:, None, None] * gb
-        a2 = a2 / np.linalg.norm(a2, axis=1, keepdims=True)
-        b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)
+        a2 = av + np.ascontiguousarray(ta).view(complex).reshape(r, da, k)
+        b2 = bv + np.ascontiguousarray(tb).view(complex).reshape(r, -1, k)
+        a2 /= np.linalg.norm(a2, axis=1, keepdims=True)
+        b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
         val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
-        ok = np.isfinite(val2) & (val2 < val - 1e-16)
-        rel = (val - val2) / np.maximum(np.abs(val), 1e-30)
-        if ok.all():
-            p, av, bv, val, grad = p2, a2, b2, val2, grad2
-        else:
-            p[ok], av[ok], bv[ok], val[ok], grad[ok] = p2[ok], a2[ok], b2[ok], val2[ok], grad2[ok]
-        step = np.where(ok, step * 1.3, step * 0.5)
+        drop = val - val2
+        ok = np.isfinite(val2) & (drop > 1e-16) & (drop >= 1e-4 * step * slope)
+        rel = drop / np.maximum(np.abs(val), 1e-30)
+        # the minimiser of the quadratic through val, -slope and val2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fit = 0.5 * step * slope / (slope - drop / step)
+        cut = np.fmax(np.fmin(fit, 0.5 * step), 0.1 * step)
+        # a quasi-Newton direction that fails down to a short step goes,
+        # with its pairs, for the first-order direction
+        lost = ~ok & (cut < 1e-3) & (rho_hist[:, 0] > 0)
+        if lost.any():
+            pairs[lost], rho_hist[lost] = 0.0, 0.0
+            d[lost] = m[lost] * g[lost]
+            slope[lost] = np.einsum("rp,rp->r", g[lost], d[lost])
+            cut[lost] = 0.5
+        if ok.any():
+            o = np.flatnonzero(ok)
+            g2, m2 = _gradient(grad2[o], p2[o], a2[o], b2[o])
+            sy_pair = np.stack([-step[o, None] * d[o], g2 - g[o]], axis=1)
+            sy, ss, yy = (np.einsum("rp,rp->r", sy_pair[:, i], sy_pair[:, j])
+                          for i, j in ((0, 1), (0, 0), (1, 1)))
+            # a pair without positive curvature would break H's positivity
+            good = sy > 1e-12 * np.sqrt(ss * yy)
+            new = o[good]
+            pairs[new, 1:] = pairs[new, :-1]
+            rho_hist[new, 1:] = rho_hist[new, :-1]
+            pairs[new, 0], rho_hist[new, 0] = sy_pair[good], 1.0 / sy[good]
+            d2 = _two_loop(g2, m2, pairs[o], rho_hist[o])
+            sl = np.einsum("rp,rp->r", g2, d2)
+            # not a descent direction: forget the pairs, take the first-order one
+            bad = ~(sl > 0)
+            if bad.any():
+                pairs[o[bad]], rho_hist[o[bad]] = 0.0, 0.0
+                d2[bad] = m2[bad] * g2[bad]
+                sl[bad] = np.einsum("rp,rp->r", g2[bad], d2[bad])
+            p[o], av[o], bv[o], val[o], g[o], m[o], d[o], slope[o] = p2[o], a2[o], b2[o], val2[o], g2, m2, d2, sl
+            cut[o] = np.where(rho_hist[o, 0] > 0, 1.0, 0.5)
+        step = cut
         iters += ok
         stop[ok & (iters > 11) & (rel < rel_tol)] = rel_tol_stop
         dead = ~ok & (step <= 1e-14)
         stop[dead] = no_descent
         iters += dead
-        fresh = ok
     fp, fa, fb, fv, fi, fs = final
     return [(float(fv[r]), (fp[r], fa[r], fb[r]), int(fi[r]), names[fs[r]]) for r in range(n_r)]
 
@@ -343,22 +422,24 @@ def relative_entanglement_entropy_upper(
     n_components: int | None = None,
     restarts: int = 8,
     seed: int = 0,
-    max_iter: int = 1500,
+    max_iter: int = 150,
 ) -> MeasureResult:
     """Variational upper bound on the relative entanglement entropy.
 
-    Descent over mixtures of pure product states: each factor vector moves
-    on its unit sphere along its unweighted tangent gradient, so a light
-    component moves as fast as a heavy one, and the weights take entropic
-    (mirror-descent) steps p exp(-step g) on the simplex.  Every feasible
-    mixture certifies an upper bound.  The restarts run in lockstep as one
-    stack (one stacked eigh per round for all live restarts), and each
-    follows the trajectory it would follow alone; the first restart with
-    the lowest value gives the returned value and ansatz.  ``meta["stop"]``
-    says why that restart ended: ``rel_tol``, ``no_descent`` (the step fell
-    below 1e-14), ``max_iter`` or ``zero`` (round-off; E_R >= 0).
-    ``meta["stagnated"]``: some restart hit max_iter.  ``meta["iterations"]``
-    sums the restarts' iterations.
+    Quasi-Newton (L-BFGS) descent over mixtures of pure product states, in
+    the log-weights and the unit factor vectors: a step rescales the
+    weights by exp(-t d) on the simplex and moves each factor vector along
+    its sphere.  The initial inverse Hessian is the unweighted first-order
+    direction, so a light component moves as fast as a heavy one and is
+    not lost.  ``max_iter`` (150 accepted steps per restart by default)
+    bounds each restart.  Every feasible mixture certifies an upper bound.
+    The restarts run in lockstep as one stack (one stacked eigh per round
+    for all live restarts), and each follows the trajectory it would follow
+    alone; the first restart with the lowest value gives the returned value
+    and ansatz.  ``meta["stop"]`` says why that restart ended: ``rel_tol``,
+    ``no_descent`` (the step fell below 1e-14), ``max_iter`` or ``zero``
+    (round-off; E_R >= 0).  ``meta["stagnated"]``: some restart hit
+    max_iter.  ``meta["iterations"]`` sums the restarts' iterations.
     """
     if rho.dimB == 1:
         raise MeasureError("E_R needs a bipartite state")
@@ -645,9 +726,9 @@ def verify_certificate(rho: DensityMatrix, result: MeasureResult, tol: float = 1
         cert.check_reconstructs(rho)
         sigma, mu = dominating_separable(cert)
         gap = np.linalg.eigvalsh(sigma - rho.matrix).min()
-        if gap < -1e-9:
+        if not gap >= -1e-9:
             raise MeasureError(f"dominating functional fails positivity by {gap:.2e}")
-        if np.log(mu) > result.value + tol:
+        if not np.log(mu) <= result.value + tol:
             raise MeasureError(
                 f"certificate cost log {np.log(mu)} exceeds claimed bound {result.value}"
             )
@@ -655,10 +736,10 @@ def verify_certificate(rho: DensityMatrix, result: MeasureResult, tol: float = 1
         a1, a2, b1, b2 = cert
         for op in cert:
             w = np.linalg.eigvalsh(op)
-            if w.min() < -1.0 - 1e-9 or w.max() > 1.0 + 1e-9:
+            if not (w.min() >= -1.0 - 1e-9 and w.max() <= 1.0 + 1e-9):
                 raise MeasureError("certificate observable is not a contraction")
         val = bell_functional(rho, a1, a2, b1, b2)
-        if abs(val - result.value) > 1e-9:
+        if not abs(val - result.value) <= 1e-9:
             raise MeasureError(f"observables re-evaluate to {val}, result claims {result.value}")
     else:
         raise MeasureError(f"unknown certificate type {type(cert)!r}")

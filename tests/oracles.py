@@ -602,13 +602,49 @@ def rel_ent_and_grad_sequential(
     return h, 0.5 * (g + g.conj().T)
 
 
-def descend_sequential(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
-    """Descend H(rho, sigma) from one start (p, av, bv): (value, mixture,
+def descend_sequential(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10, history=8):
+    """Descend H(rho, sigma) from one start (p, av, bv) along L-BFGS
+    directions with ``history`` curvature pairs: (value, mixture,
     iterations, stop).
 
     The one-restart-at-a-time form of ``entbound.measures._descend``, which
     runs every restart in lockstep and must follow the same trajectories.
+    The coordinates are the log-weights and the real and imaginary parts of
+    the unit factor vectors; the initial inverse Hessian is the diagonal
+    that turns the gradient into the unweighted first-order direction.
     """
+
+    def gradient(grad):
+        cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
+        gv = grad @ cols
+        gp = np.einsum("ik,ik->k", cols.conj(), gv).real
+        gm = gv.reshape(da, db, -1)
+        ga = np.einsum("abk,bk->ak", gm, bv.conj())
+        gb = np.einsum("abk,ak->bk", gm, av.conj())
+        ga -= av * np.einsum("ak,ak->k", av.conj(), ga).real
+        gb -= bv * np.einsum("bk,bk->k", bv.conj(), gb).real
+        g = np.concatenate([p * (gp - np.sum(p * gp)), (2 * p * ga).ravel().view(float),
+                            (2 * p * gb).ravel().view(float)])
+        inv = 1.0 / np.maximum(p, 1e-300)
+        return g, np.concatenate([inv, np.tile(np.repeat(0.5 * inv, 2), da + db)])
+
+    def dot(x, y):
+        # the reduction the stacked descent uses, so the two agree bit for bit
+        return np.einsum("p,p->", x, y)
+
+    def two_loop(g, m):
+        # pairs newest first, each (s, y, 1 / s.y)
+        q, alphas = g.copy(), []
+        for s, y, r in pairs:
+            alphas.append(r * dot(s, q))
+            q -= alphas[-1] * y
+        gamma = 1.0 / (pairs[0][2] * dot(pairs[0][1] * m, pairs[0][1])) if pairs else 1.0
+        d = gamma * m * q
+        for (s, y, r), a in reversed(list(zip(pairs, alphas))):
+            d += (a - r * dot(y, d)) * s
+        return d
+
+    k = len(p)
     # Tr rho log rho does not depend on sigma: one eigvalsh per descent
     wr = np.linalg.eigvalsh(rho_m)
     wr = wr[wr > 1e-14]
@@ -616,41 +652,135 @@ def descend_sequential(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
     val, grad = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p, av, bv))
     if not np.isfinite(val):
         return float("inf"), (p, av, bv), 0, "no_descent"
-    step = 0.5
-    for it in range(max_iter):
+    g, m = gradient(grad)
+    d, step, pairs = m * g, 0.5, []
+    slope = dot(g, d)
+    it = 0
+    while it < max_iter:
         if val <= 1e-14:
             return val, (p, av, bv), it, "zero"
-        cols = (av[:, None, :] * bv[None, :, :]).reshape(da * db, -1)
-        gv = grad @ cols
-        gp = np.einsum("ik,ik->k", cols.conj(), gv).real
-        gm = gv.reshape(da, db, -1)
-        # unweighted factor gradients, projected onto the spheres' tangent planes
-        ga = np.einsum("abk,bk->ak", gm, bv.conj())
-        gb = np.einsum("abk,ak->bk", gm, av.conj())
-        ga -= av * np.einsum("ak,ak->k", av.conj(), ga).real
-        gb -= bv * np.einsum("bk,bk->k", bv.conj(), gb).real
-        # the normalised multiplicative step ignores a shift of gp; from its
-        # least value on the support every factor exp(-step gp) is in (0, 1]
-        gp = np.clip(gp - gp[p > 0].min(), 0.0, None)
-        while step > 1e-14:
-            p2 = p * np.exp(-step * gp)
-            p2 /= p2.sum()
-            a2 = av - step * ga
-            b2 = bv - step * gb
-            a2 = a2 / np.linalg.norm(a2, axis=0, keepdims=True)
-            b2 = b2 / np.linalg.norm(b2, axis=0, keepdims=True)
-            val2, grad2 = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p2, a2, b2))
-            if np.isfinite(val2) and val2 < val - 1e-16:
-                rel = (val - val2) / max(abs(val), 1e-30)
-                p, av, bv, val, grad = p2, a2, b2, val2, grad2
-                step *= 1.3
-                break
-            step *= 0.5
-        else:
-            return val, (p, av, bv), it + 1, "no_descent"
-        if it > 10 and rel < rel_tol:
-            return val, (p, av, bv), it + 1, "rel_tol"
+        e = -step * d[:k]
+        p2 = p * np.exp(e - e.max())
+        p2 /= p2.sum()
+        a2 = av - step * d[k:k + 2 * da * k].copy().view(complex).reshape(da, k)
+        b2 = bv - step * d[k + 2 * da * k:].copy().view(complex).reshape(db, k)
+        a2 /= np.linalg.norm(a2, axis=0, keepdims=True)
+        b2 /= np.linalg.norm(b2, axis=0, keepdims=True)
+        val2, grad2 = rel_ent_and_grad_sequential(rho_m, neg_entropy, ansatz_matrix_sequential(p2, a2, b2))
+        drop = val - val2
+        if not (np.isfinite(val2) and drop > 1e-16 and drop >= 1e-4 * step * slope):
+            # the minimiser of the quadratic through val, -slope and val2,
+            # kept within [0.1, 0.5] of the step
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                fit = 0.5 * step * slope / (slope - drop / step)
+            step = float(np.fmax(np.fmin(fit, 0.5 * step), 0.1 * step))
+            if pairs and step < 1e-3:
+                # the quasi-Newton direction failed: the first-order one instead
+                pairs, d, step = [], m * g, 0.5
+                slope = dot(g, d)
+            if step <= 1e-14:
+                return val, (p, av, bv), it + 1, "no_descent"
+            continue
+        rel = drop / max(abs(val), 1e-30)
+        p, av, bv, val = p2, a2, b2, val2
+        g2, m = gradient(grad2)
+        s, y = -step * d, g2 - g
+        sy = dot(s, y)
+        if sy > 1e-12 * np.sqrt(dot(s, s) * dot(y, y)):
+            pairs = [(s, y, 1.0 / sy)] + pairs[:history - 1]
+        g = g2
+        d = two_loop(g, m)
+        slope = dot(g, d)
+        if not slope > 0:
+            pairs, d = [], m * g
+            slope = dot(g, d)
+        step = 1.0 if pairs else 0.5
+        it += 1
+        if it > 11 and rel < rel_tol:
+            return val, (p, av, bv), it, "rel_tol"
     return val, (p, av, bv), max_iter, "max_iter"
+
+
+def _first_order_direction(grad, p, av, bv):
+    """Weight gradients and sphere-tangent factor gradients of a stack."""
+    r, da, k = av.shape
+    cols = (av[:, :, None, :] * bv[:, None, :, :]).reshape(r, -1, k)
+    gv = grad @ cols
+    gp = np.einsum("rik,rik->rk", cols.conj(), gv).real
+    gm = gv.reshape(r, da, -1, k)
+    # unweighted factor gradients, projected onto the spheres' tangent planes
+    ga = np.einsum("rabk,rbk->rak", gm, bv.conj())
+    gb = np.einsum("rabk,rak->rbk", gm, av.conj())
+    ga -= av * np.einsum("rak,rak->rk", av.conj(), ga).real[:, None, :]
+    gb -= bv * np.einsum("rbk,rbk->rk", bv.conj(), gb).real[:, None, :]
+    # the normalised multiplicative step ignores a shift of gp; from its
+    # least value on the support every factor exp(-step gp) is in (0, 1]
+    floor = np.where(p > 0, gp, np.inf).min(axis=-1, keepdims=True)
+    return np.clip(gp - floor, 0.0, None), ga, gb
+
+
+def descend_first_order(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
+    """The first-order E_R descent ``entbound.measures._descend`` used before
+    its quasi-Newton directions, kept as the bar the new one must beat.
+
+    Descends H(rho, sigma) from R stacked starts p (R, k), av (R, dA, k),
+    bv (R, dB, k) in lockstep: each factor vector moves on its unit sphere
+    along its unweighted tangent gradient, and the weights take entropic
+    steps p exp(-step g).  Each round tries one step for every live
+    restart; on acceptance a restart grows its step by 1.3 and takes a new
+    direction, on rejection it halves its step.  Returns one (value, (p,
+    av, bv), iterations, stop) per restart.
+    """
+    from entbound.measures import _ansatz_matrix, _rel_ent_and_grad
+
+    wr = np.linalg.eigvalsh(rho_m)
+    wr = wr[wr > 1e-14]
+    neg_entropy = float(np.sum(wr * np.log(wr)))
+    val, grad = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p, av, bv))
+    running, rel_tol_stop, no_descent, max_iter_stop, zero = range(5)
+    names = ("", "rel_tol", "no_descent", "max_iter", "zero")
+    n_r = len(p)
+    p, av, bv = p.copy(), av.copy(), bv.copy()
+    idx, step, iters = np.arange(n_r), np.full(n_r, 0.5), np.zeros(n_r, dtype=int)
+    stop = np.where(np.isfinite(val), running, no_descent)
+    fresh = stop == running
+    final = [np.empty_like(part) for part in (p, av, bv, val, iters, stop)]
+    gp, ga, gb = np.zeros_like(p), np.zeros_like(av), np.zeros_like(bv)
+    while True:
+        stop[(stop == running) & (iters >= max_iter)] = max_iter_stop
+        stop[(stop == running) & (val <= 1e-14)] = zero
+        out = stop != running
+        if out.any():
+            for arr, part in zip(final, (p, av, bv, val, iters, stop)):
+                arr[idx[out]] = part[out]
+            keep = ~out
+            idx, step, iters, stop, fresh = idx[keep], step[keep], iters[keep], stop[keep], fresh[keep]
+            p, av, bv, val, grad = p[keep], av[keep], bv[keep], val[keep], grad[keep]
+            gp, ga, gb = gp[keep], ga[keep], gb[keep]
+            if not idx.size:
+                break
+        if fresh.any():
+            gp[fresh], ga[fresh], gb[fresh] = _first_order_direction(
+                grad[fresh], p[fresh], av[fresh], bv[fresh])
+        p2 = p * np.exp(-step[:, None] * gp)
+        p2 /= p2.sum(axis=-1, keepdims=True)
+        a2 = av - step[:, None, None] * ga
+        b2 = bv - step[:, None, None] * gb
+        a2 = a2 / np.linalg.norm(a2, axis=1, keepdims=True)
+        b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)
+        val2, grad2 = _rel_ent_and_grad(rho_m, neg_entropy, _ansatz_matrix(p2, a2, b2))
+        ok = np.isfinite(val2) & (val2 < val - 1e-16)
+        rel = (val - val2) / np.maximum(np.abs(val), 1e-30)
+        p[ok], av[ok], bv[ok], val[ok], grad[ok] = p2[ok], a2[ok], b2[ok], val2[ok], grad2[ok]
+        step = np.where(ok, step * 1.3, step * 0.5)
+        iters += ok
+        stop[ok & (iters > 11) & (rel < rel_tol)] = rel_tol_stop
+        dead = ~ok & (step <= 1e-14)
+        stop[dead] = no_descent
+        iters += dead
+        fresh = ok
+    fp, fa, fb, fv, fi, fs = final
+    return [(float(fv[r]), (fp[r], fa[r], fb[r]), int(fi[r]), names[fs[r]]) for r in range(n_r)]
 
 
 def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
@@ -659,7 +789,7 @@ def descend_weighted(rho_m, da, db, p, av, bv, max_iter, rel_tol=1e-10):
 
     Each factor-vector gradient carries its component's weight, so a
     low-weight component barely moves.  The line search and stop test are
-    those of ``descend_sequential``.
+    those of ``descend_first_order``.
     """
 
     def _project_simplex(p):

@@ -163,6 +163,24 @@ class TestSweepCommands:
         uppers = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(u1 > u2 for u1, u2 in zip(uppers, uppers[1:]))
 
+    def test_gaussian_sweep_builds_region_a_once(self, tmp_path, monkeypatch):
+        # region A (8 sites) stays in place, so its bases are built once per
+        # sweep; each row builds the complement of its B, 12 + gap sites
+        from entbound import gaussian
+
+        calls = []
+        build = gaussian.region_projectors
+
+        def counted(state, indices):
+            calls.append(len(indices))
+            return build(state, indices)
+
+        monkeypatch.setattr(gaussian, "region_projectors", counted)
+        code = main(["gaussian", "--sites", "64", "--spacing", "0.25", "--mass", "1.0",
+                     "--regionA", "4..11", "--gap", "8..16..4", "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        assert calls[0] == 8 and sorted(calls[1:]) == [20, 24, 28]
+
     def test_integrable_sweep_with_divergent_rows(self, tmp_path):
         out = tmp_path / "bound.csv"
         code = main(["integrable", "--g", "0.5", "--mR", "1,20,30",

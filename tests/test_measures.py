@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from entbound.measures import (
 )
 from oracles import (
     bell_correlation_functional,
+    descend_first_order,
     descend_sequential,
     descend_weighted,
     local_unitary_conjugate,
@@ -177,6 +179,18 @@ class TestRelativeEntanglementUpper:
         assert res.meta["stop"] in ("zero", "no_descent")
         assert res.meta["iterations"] < 3 * 1500
 
+    @pytest.mark.parametrize("db", [2, 3])
+    @pytest.mark.parametrize("s", range(4))
+    def test_mixed_product_state_reaches_round_off(self, db, s):
+        # the first-order descent's Schmidt start stalled at 2.8e-10 to
+        # 7.0e-9 on these states after 1500 iterations
+        rho = product_state(random_density_matrix(2, seed=s).matrix,
+                            random_density_matrix(db, seed=s + 10).matrix)
+        res = relative_entanglement_entropy_upper(rho, restarts=3)
+        verify_certificate(rho, res)
+        assert res.value <= 1e-12
+        assert res.meta["stop"] in ("zero", "no_descent", "rel_tol")
+
     def test_iteration_cap_is_reported(self):
         res = relative_entanglement_entropy_upper(faithful_2x2(9), restarts=2, max_iter=5)
         assert res.meta["stop"] == "max_iter" and res.meta["stagnated"] is True
@@ -208,6 +222,24 @@ class TestRelativeEntanglementUpper:
         verify_certificate(rho, res)
         assert res.value <= ref + 1e-10 * ref
 
+    @pytest.mark.parametrize("rho", [
+        maximally_entangled(2),
+        maximally_entangled(3),
+        random_density_matrix(2, 2, seed=0),
+        random_density_matrix(2, 3, seed=0),
+        random_density_matrix(3, 3, seed=0),
+    ], ids=["phi_plus_2", "phi_plus_3", "ginibre_2x2", "ginibre_2x3", "ginibre_3x3"])
+    def test_no_worse_than_the_first_order_descent(self, rho):
+        # the quasi-Newton descent at its default budget against the
+        # first-order one at 1500 iterations, from the same starts; the
+        # first-order descent stops once a step gains less than 1e-10
+        # relative, so that is the slack
+        runs = descend_first_order(rho.matrix, *measures._er_starts(rho, 2 * rho.dim, 3, 0), 1500)
+        ref = min(run[0] for run in runs)
+        res = relative_entanglement_entropy_upper(rho, restarts=3, seed=0)
+        verify_certificate(rho, res)
+        assert res.value <= ref + 1e-10 * ref
+
 
 def _case(rho, restarts, max_iter=1500, rel_tol=1e-10, k=None):
     starts = measures._er_starts(rho, 2 * rho.dim if k is None else k, restarts, 0)
@@ -234,20 +266,29 @@ LOCKSTEP_CASES = {
     "ginibre_2x2_r8": _case(random_density_matrix(2, 2, seed=0), 8),
     "ginibre_2x3_r3": _case(random_density_matrix(2, 3, seed=1), 3),
     "ginibre_2x3_r8": _case(random_density_matrix(2, 3, seed=1), 8),
+    # the restarts leave the stack on rel_tol at different rounds, the
+    # first after 711 steps
     "ginibre_3x3_r3": _case(random_density_matrix(3, 3, seed=0), 3),
     "ginibre_3x3_r8": _case(random_density_matrix(3, 3, seed=0), 8),
-    # restarts stop at rounds 63 (zero), 474 (no_descent) and 1500 (max_iter)
-    "mixed_product_r8": _case(_MIXED_PRODUCT, 8),
-    # rounds 56 (rel_tol), 63 (zero) and 474 (no_descent); at the default
+    # every restart stops on zero, at rounds 21 to 100: at the default
     # rel_tol no restart on a product state stops on rel_tol, since its
     # value reaches round-off first
-    "mixed_product_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=1e-5),
-    # the first restart's gain is below rel_tol by its 11th step, and it
+    "mixed_product_r8": _case(_MIXED_PRODUCT, 8),
+    # rounds 18 (rel_tol), 21 and 26 (zero)
+    "mixed_product_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=1e-2),
+    # every restart's gain is below rel_tol by its 11th step, and each
     # stops after its 12th, the earliest the stop test allows
-    "mixed_product_loose_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=1e-2),
+    "mixed_product_loose_rel_tol": _case(_MIXED_PRODUCT, 3, rel_tol=0.5),
+    # a weight of the Schmidt start underflows to zero, and the next
+    # quasi-Newton direction fails: that restart drops its pairs once and
+    # goes on along the first-order direction to zero
+    "first_order_fallback": _case(product_state(random_density_matrix(2, seed=0).matrix,
+                                                random_density_matrix(2, seed=10).matrix), 3),
     "max_iter_5": _case(random_density_matrix(2, 2, seed=3), 3, max_iter=5),
     "one_restart": _case(random_density_matrix(2, 3, seed=2), 1),
-    # sigma is rank two, so the off-support branch runs on feasible sigmas
+    # sigma is rank two, so the off-support branch runs on feasible sigmas;
+    # the Schmidt start is already optimal, so after one step every trial
+    # fails and the restart stops on no_descent at round 46
     "rank_deficient_sigma": _case(maximally_entangled(2), 1, k=2),
     "infeasible_start": _infeasible_first(),
 }
@@ -274,7 +315,7 @@ class TestLockstepDescent:
                     assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
     def test_the_cases_cover_every_stop_reason(self):
-        names = ("mixed_product_rel_tol", "max_iter_5")
+        names = ("mixed_product_rel_tol", "max_iter_5", "rank_deficient_sigma")
         stops = set()
         for name in names:
             rho, starts, max_iter, rel_tol = LOCKSTEP_CASES[name]
@@ -303,6 +344,25 @@ class TestLockstepDescent:
         measures._descend(rho.matrix, *starts, 200)
         assert len(set(single)) > 1
         assert calls[0] == max(single) < sum(single)
+
+    def test_rounds_stay_near_the_budget(self, monkeypatch):
+        # nearly every round's trial step is accepted: on a 3x3 state whose
+        # restarts all run to the default budget, the stack takes at most
+        # 20 % more stacked eigh calls than that budget
+        budget = inspect.signature(relative_entanglement_entropy_upper).parameters["max_iter"].default
+        rho = random_density_matrix(3, 3, seed=0)
+        starts = measures._er_starts(rho, 2 * rho.dim, 3, 0)
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        runs = measures._descend(rho.matrix, *starts, budget)
+        assert [run[3] for run in runs] == ["max_iter"] * 3
+        assert calls[0] <= 1.2 * budget
 
     def test_best_restart_and_meta(self):
         rho = random_density_matrix(2, 2, seed=0)
@@ -626,6 +686,24 @@ class TestAnsatzValidation:
     def test_weight_validation(self):
         with pytest.raises(MeasureError):
             SeparableAnsatz(np.array([0.5, 0.6]), np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("part", ["weights", "factors_a", "factors_b"])
+    def test_nan_ansatz_rejected(self, part):
+        fields = {"weights": np.array([0.5, 0.5]), "factors_a": np.eye(2, dtype=complex),
+                  "factors_b": np.eye(2, dtype=complex)}
+        fields[part] = fields[part].copy()
+        fields[part][0] = np.nan
+        with pytest.raises(MeasureError):
+            SeparableAnsatz(**fields)
+
+    def test_nan_decomposition_rejected(self):
+        rho = maximally_entangled(2)
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        dec = SeparableDecomposition(pairs=[(nan, nan)])
+        with pytest.raises(MeasureError, match="reconstruct"):
+            dec.check_reconstructs(rho)
+        with pytest.raises(MeasureError, match="reconstruct"):
+            verify_certificate(rho, MeasureResult("EN", 0.5, UPPER, certificate=dec))
 
     def test_materialize_valid_state(self):
         rng = np.random.default_rng(1)
