@@ -303,8 +303,9 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
     1e-4); then the restart advances and takes a new direction, trying
     step 1 (0.5 while it holds no pair, on the first-order direction).  A
     rejected step is cut to the minimiser of a quadratic fit, kept within
-    [0.1, 0.5] of it; once a quasi-Newton step is cut below 1e-3 the
-    restart drops its pairs and tries the first-order direction.  So each
+    [0.1, 0.5] of it.  A quasi-Newton step cut below 1e-3, or a direction
+    that does not descend, gives way to the first-order direction, and the
+    restart drops its pairs.  So each
     restart follows the trajectory it would follow alone.  A stopped
     restart leaves the stack.  Returns one (value, (p, av, bv), iterations,
     stop) per restart.
@@ -363,14 +364,7 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fit = 0.5 * step * slope / (slope - drop / step)
         cut = np.fmax(np.fmin(fit, 0.5 * step), 0.1 * step)
-        # a quasi-Newton direction that fails down to a short step goes,
-        # with its pairs, for the first-order direction
         lost = ~ok & (cut < 1e-3) & (rho_hist[:, 0] > 0)
-        if lost.any():
-            pairs[lost], rho_hist[lost] = 0.0, 0.0
-            d[lost] = m[lost] * g[lost]
-            slope[lost] = np.einsum("rp,rp->r", g[lost], d[lost])
-            cut[lost] = 0.5
         if ok.any():
             o = np.flatnonzero(ok)
             g2, m2 = _gradient(grad2[o], p2[o], a2[o], b2[o])
@@ -383,16 +377,19 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
             pairs[new, 1:] = pairs[new, :-1]
             rho_hist[new, 1:] = rho_hist[new, :-1]
             pairs[new, 0], rho_hist[new, 0] = sy_pair[good], 1.0 / sy[good]
-            d2 = _two_loop(g2, m2, pairs[o], rho_hist[o])
-            sl = np.einsum("rp,rp->r", g2, d2)
-            # not a descent direction: forget the pairs, take the first-order one
-            bad = ~(sl > 0)
-            if bad.any():
-                pairs[o[bad]], rho_hist[o[bad]] = 0.0, 0.0
-                d2[bad] = m2[bad] * g2[bad]
-                sl[bad] = np.einsum("rp,rp->r", g2[bad], d2[bad])
-            p[o], av[o], bv[o], val[o], g[o], m[o], d[o], slope[o] = p2[o], a2[o], b2[o], val2[o], g2, m2, d2, sl
-            cut[o] = np.where(rho_hist[o, 0] > 0, 1.0, 0.5)
+            p[o], av[o], bv[o], val[o], g[o], m[o] = p2[o], a2[o], b2[o], val2[o], g2, m2
+            d[o] = _two_loop(g2, m2, pairs[o], rho_hist[o])
+            slope[o] = np.einsum("rp,rp->r", g2, d[o])
+        # a quasi-Newton step cut below 1e-3, or a new direction that does
+        # not descend, gives way (with the restart's pairs) to the
+        # first-order direction
+        reset = lost | (ok & ~(slope > 0))
+        if reset.any():
+            pairs[reset], rho_hist[reset] = 0.0, 0.0
+            d[reset] = m[reset] * g[reset]
+            slope[reset] = np.einsum("rp,rp->r", g[reset], d[reset])
+        fresh = ok | reset
+        cut[fresh] = np.where(rho_hist[fresh, 0] > 0, 1.0, 0.5)
         step = cut
         iters += ok
         stop[ok & (iters > 11) & (rel < rel_tol)] = rel_tol_stop
