@@ -6,10 +6,13 @@ imaginary rapidity axis, and its strip norm is the closed-form product of
 each factor's peak on the strip boundary.  The rapidity-space kernel T is
 evaluated by Gauss-Legendre Nystrom discretization; every T trace norm
 passes a mandatory convergence check, climbing a ladder of node counts from
-36 to at most 192 until two successive values agree.  On the symmetric grid
-the Nystrom matrix K satisfies J K J = conj(K), J the index reversal, so the
-real matrix Re K + J Im K, unitarily similar to K, is built and decomposed
-instead.
+16 to at most 192 until two successive values agree to 1e-12 relative or to
+a caller's atol.  A 1-D array of decay parameters climbs the ladder in
+lockstep, one stacked SVD per rung and chunk, and the half-line Dirac sum
+passes its circle modes in blocks, with an atol set by its running total.
+On the symmetric grid the Nystrom matrix K satisfies J K J = conj(K), J the
+index reversal, so the real matrix Re K + J Im K, unitarily similar to K,
+is built and decomposed instead.
 Only the Nystrom functions import numpy; the vacuum bound and its Bessel
 function are plain floating-point sums.
 """
@@ -110,8 +113,13 @@ def bessel_k0(x: float) -> float:
 
 # node counts of the trace norm's convergence ladder: the values converge
 # geometrically, so rungs 1.33-1.5x apart confirm a value without an SVD at
-# twice its node count; the last pair, 96 and 192, is the one the 0.5% gate checks
-NODE_COUNTS = (36, 48, 72, 96, 192)
+# twice its node count, and the cheap first rungs settle the fast-decaying
+# kernels; the last pair, 96 and 192, is the one the 0.5% gate checks
+NODE_COUNTS = (16, 24, 36, 48, 72, 96, 192)
+
+# the most kernel entries one stacked SVD takes: a rung's matrices are split
+# into chunks of this size, and a larger matrix is decomposed on its own
+STACK_ELEMENTS = 96 * 96
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,7 +128,8 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The real form of ``t_kernel_matrix`` pairs node i with node n-1-i, so
     the rule must have antisymmetric nodes and symmetric weights; scaling
-    both by theta_max keeps that exactly.
+    both by theta_max keeps that exactly.  The cache holds every rung of
+    ``NODE_COUNTS``.
     """
     import numpy as np
 
@@ -141,7 +150,8 @@ def theta_cutoff(s: float) -> float:
     return math.acosh(max(target, math.cosh(1.0)))
 
 
-def t_kernel_matrix(kappa: float, s: float, n: int, theta_max: float) -> np.ndarray:
+def t_kernel_matrix(kappa: float, s: float | np.ndarray, n: int,
+                    theta_max: float | np.ndarray) -> np.ndarray:
     """Real Nystrom matrix with the singular values of the half-smeared Cauchy kernel.
 
     The n-node Gauss-Legendre rule on [-theta_max, theta_max] gives nodes
@@ -153,49 +163,70 @@ def t_kernel_matrix(kappa: float, s: float, n: int, theta_max: float) -> np.ndar
     real Q^* K Q = Re K + J Im K (A. Lee, Linear Algebra Appl. 29, 205
     (1980)).  With a = |kappa|/2 its entries are sw_i d_i sw_j/(2 pi) *
     [a/(a^2 + (theta_j - theta_i)^2) + sign(kappa) (theta_i +
-    theta_j)/(a^2 + (theta_i + theta_j)^2)].
+    theta_j)/(a^2 + (theta_i + theta_j)^2)].  Scalars s and theta_max give
+    one (n, n) matrix; 1-D arrays of them give the (k, n, n) stack.
     """
     import numpy as np
 
-    if kappa == 0 or s <= 0:
+    s = np.asarray(s, dtype=float)
+    if kappa == 0 or np.any(s <= 0):
         raise IntegrableError("need kappa != 0 and s > 0")
     x, w = legendre_rule(n)
-    th = x * theta_max
-    sw = np.sqrt(w * theta_max)
-    damp = np.exp(-0.5 * s * np.cosh(th))
+    scale = np.asarray(theta_max, dtype=float)[..., None]
+    th = x * scale
+    sw = np.sqrt(w * scale)
+    damp = np.exp(-0.5 * s[..., None] * np.cosh(th))
     a = 0.5 * abs(kappa)
-    diff = th[None, :] - th[:, None]
-    total = th[None, :] + th[:, None]
+    diff = th[..., None, :] - th[..., :, None]
+    total = th[..., None, :] + th[..., :, None]
     kern = a / (a * a + diff**2) + np.sign(kappa) * total / (a * a + total**2)
-    return (sw * damp / (2.0 * math.pi))[:, None] * kern * sw[None, :]
+    return (sw * damp / (2.0 * math.pi))[..., :, None] * kern * sw[..., None, :]
 
 
-def t_kernel_trace_norm(kappa: float, s: float) -> float:
+def t_kernel_trace_norm(kappa: float, s: float | np.ndarray, atol: float = 0.0) -> float | np.ndarray:
     """Trace norm of the discretized T kernel with a node-ladder convergence check.
 
     Gauss-Legendre rules on [-theta_cutoff(s), theta_cutoff(s)] climb
-    ``NODE_COUNTS`` until two successive values agree to 1e-12 relative or
-    the ladder ends; the finer value is returned.  The kernel is analytic in
-    a strip, so the values converge geometrically in the node count, and a
-    last pair (192 against 96 nodes) that differs by more than 0.5% raises.
+    ``NODE_COUNTS`` until two successive values v1, v2 agree, |v2 - v1| <=
+    max(1e-12 |v2|, atol), or the ladder ends; the finer value is returned.
+    A 1-D array of decays s climbs in lockstep: each rung takes one stacked
+    SVD per chunk of at most ``STACK_ELEMENTS`` entries over the decays
+    still climbing, and a decay leaves the stack once it converges, so each
+    value is the one its scalar call returns.  The kernel is analytic in a
+    strip, so the values converge geometrically in the node count; a decay
+    whose last pair (192 against 96 nodes) neither agrees nor lies within
+    0.5% raises.
     """
     import numpy as np
 
-    theta_max = theta_cutoff(s)
+    decays = np.atleast_1d(np.asarray(s, dtype=float))
+    theta_max = np.array([theta_cutoff(float(d)) for d in decays])
 
-    def norm_at(n: int) -> float:
-        return float(np.sum(np.linalg.svd(t_kernel_matrix(kappa, s, n, theta_max), compute_uv=False)))
+    def norms_at(n: int, idx: np.ndarray) -> np.ndarray:
+        per = max(1, STACK_ELEMENTS // (n * n))
+        return np.concatenate([
+            np.sum(np.linalg.svd(t_kernel_matrix(kappa, decays[c], n, theta_max[c]),
+                                 compute_uv=False), axis=-1)
+            for c in (idx[i:i + per] for i in range(0, idx.size, per))
+        ])
 
-    val2 = norm_at(NODE_COUNTS[0])
+    out = np.empty_like(decays)
+    idx = np.arange(decays.size)
+    val2 = norms_at(NODE_COUNTS[0], idx)
     for n, n2 in zip(NODE_COUNTS, NODE_COUNTS[1:]):
-        val, val2 = val2, norm_at(n2)
-        if abs(val2 - val) <= 1e-12 * abs(val2):
+        val, val2 = val2, norms_at(n2, idx)
+        done = np.abs(val2 - val) <= np.maximum(1e-12 * np.abs(val2), atol)
+        out[idx] = val2
+        idx, val, val2 = idx[~done], val[~done], val2[~done]
+        if not idx.size:
             break
-    if abs(val2 - val) > 0.005 * max(abs(val2), 1e-300):
+    bad = np.abs(val2 - val) > 0.005 * np.maximum(np.abs(val2), 1e-300)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise IntegrableError(
-            f"discretization not converged ({val} at {n} nodes vs {val2} at {n2} nodes)"
+            f"discretization not converged ({val[i]} at {n} nodes vs {val2[i]} at {n2} nodes)"
         )
-    return val2
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +296,10 @@ def vacuum_bound(s_matrix: SMatrix, mr: float, kappa: float, delta: float) -> Va
 # half-line Dirac bound
 
 
+# circle modes per trace-norm call of the corridor sum
+MODE_BLOCK = 16
+
+
 def dirac_halfline_bound(m: float, eps: float, circle_radius: float | None = None) -> float:
     """Entanglement bound for a half-line across a corridor of width eps.
 
@@ -272,7 +307,10 @@ def dirac_halfline_bound(m: float, eps: float, circle_radius: float | None = Non
     of the kernel at kappa = pi and decay 2 * eps * m_j.  ``circle_radius``
     None means no transverse circle (one mode of mass m); otherwise the
     antiperiodic modes lambda_j = (j + 1/2)/radius, of mass sqrt(m^2 +
-    lambda_j^2), are walked in ascending order.  The contributions fall as
+    lambda_j^2), are walked in ascending order, ``MODE_BLOCK`` at a time:
+    one stacked ``t_kernel_trace_norm`` call per block, whose ladders stop
+    at atol = 1e-12 of the total before the block over 4, so no mode
+    converges further than the sum can show.  The contributions fall as
     the mass rises, and the sum stops at the first one below 1e-14 of the
     running total (or of 1).
     """
@@ -285,9 +323,11 @@ def dirac_halfline_bound(m: float, eps: float, circle_radius: float | None = Non
         # an infinite radius puts every mode at mass m, and the sum would not stop
         raise IntegrableError(f"radius must be positive and finite, got {circle_radius}")
     total = 0.0
-    for j in itertools.count():
-        lam = (j + 0.5) / circle_radius
-        contrib = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * math.sqrt(m * m + lam * lam) * eps)
-        total += contrib
-        if contrib < 1e-14 * max(total, 1.0):
-            return total
+    for start in itertools.count(0, MODE_BLOCK):
+        lams = [(j + 0.5) / circle_radius for j in range(start, start + MODE_BLOCK)]
+        decays = [2.0 * math.sqrt(m * m + lam * lam) * eps for lam in lams]
+        for norm in t_kernel_trace_norm(math.pi, decays, atol=1e-12 * total / 4):
+            contrib = 4.0 * float(norm)
+            total += contrib
+            if contrib < 1e-14 * max(total, 1.0):
+                return total

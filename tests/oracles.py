@@ -421,6 +421,29 @@ def t_kernel_trace_norm_fixed(kappa: float, s: float, n: int = 96) -> float:
     return val2
 
 
+def dirac_halfline_bound_fixed(m: float, eps: float, circle_radius: float) -> float:
+    """Corridor sum over the circle modes with one fixed 96-node SVD per mode.
+
+    The modes (j + 1/2)/circle_radius are summed in ascending order, one
+    unstacked SVD each, up to the first contribution below 1e-14 of the
+    running total (or of 1); no node ladder and no atol.
+    """
+    import itertools
+    import math
+
+    from entbound.integrable import t_kernel_matrix, theta_cutoff
+
+    total = 0.0
+    for j in itertools.count():
+        lam = (j + 0.5) / circle_radius
+        s = 2.0 * math.sqrt(m * m + lam * lam) * eps
+        sv = np.linalg.svd(t_kernel_matrix(math.pi, s, 96, theta_cutoff(s)), compute_uv=False)
+        contrib = 4.0 * float(np.sum(sv))
+        total += contrib
+        if contrib < 1e-14 * max(total, 1.0):
+            return total
+
+
 def _span_projector(cols, cut):
     """Orthogonal projector onto the span of the columns kept by the rank cut."""
     q, s, _ = np.linalg.svd(cols, full_matrices=False)

@@ -26,6 +26,7 @@ from oracles import (
     a_kernel,
     a_kernel_value,
     bessel_k0_numpy,
+    dirac_halfline_bound_fixed,
     hadamard_bound_check,
     s2_eval,
     strip_sup_norm_scalar,
@@ -239,12 +240,14 @@ class TestTKernel:
 class TestAdaptiveTraceNorm:
     @staticmethod
     def svd_sizes(monkeypatch):
-        """Record the matrix size of every SVD the trace norm takes."""
+        """Record the node count of every matrix the trace norm decomposes,
+        one entry per matrix of a stacked SVD."""
         sizes = []
         real = np.linalg.svd
 
         def counting(a, *args, **kwargs):
-            sizes.append(a.shape[0])
+            n = a.shape[-1]
+            sizes.extend([n] * (a.size // (n * n)))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
@@ -261,12 +264,20 @@ class TestAdaptiveTraceNorm:
     def test_large_decay_stops_early(self, monkeypatch):
         sizes = self.svd_sizes(monkeypatch)
         t_kernel_trace_norm(math.pi, 20.0)
-        assert len(sizes) <= 3 and max(sizes) <= 96
+        assert sizes == [16, 24, 36, 48]
+
+    def test_atol_stops_a_small_value_early(self, monkeypatch):
+        # a value far below atol settles on the two cheapest rungs
+        sizes = self.svd_sizes(monkeypatch)
+        val = t_kernel_trace_norm(math.pi, 20.0, atol=1e-6)
+        assert sizes == [16, 24]
+        assert abs(val - t_kernel_trace_norm(math.pi, 20.0)) <= 1e-6
 
     def test_small_decay_reaches_the_cap(self, monkeypatch):
         sizes = self.svd_sizes(monkeypatch)
         t_kernel_trace_norm(math.pi, 1e-3)
-        assert sizes == [36, 48, 72, 96, 192]
+        assert sizes == list(integrable.NODE_COUNTS)
+        assert integrable.NODE_COUNTS[-2:] == (96, 192)
 
     def test_gate_message_names_both_node_counts(self, monkeypatch):
         monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
@@ -277,21 +288,59 @@ class TestAdaptiveTraceNorm:
         # a 144-node value would nearly agree with 192, but the gate checks
         # 192 against 96 nodes, 1% apart
         sums = {96: 1.0, 144: 1.0099, 192: 1.01}
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, compute_uv: np.array([sums.get(a.shape[0], a.shape[0])]))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.full(
+            a.shape[:-2] + (1,), float(sums.get(a.shape[-1], a.shape[-1]))))
         with pytest.raises(IntegrableError, match="1.0 at 96 nodes vs 1.01 at 192 nodes"):
             t_kernel_trace_norm(math.pi, 1.0)
 
     def test_few_corridor_trace_norms_reach_96_nodes(self, monkeypatch):
-        # SVD work counted, not timed: a 96-node SVD costs about 7x a 48-node one
+        # SVD work counted per matrix, not timed: a 96-node SVD costs about
+        # 7x a 48-node one
         sizes = self.svd_sizes(monkeypatch)
-        calls = []
+        modes = []
         real = integrable.t_kernel_trace_norm
         monkeypatch.setattr(integrable, "t_kernel_trace_norm",
-                            lambda kappa, s: calls.append(s) or real(kappa, s))
+                            lambda kappa, s, atol=0.0: modes.append(np.size(s)) or real(kappa, s, atol))
         dirac_halfline_bound(1.0, 0.1, 1.0)
-        assert len(calls) > 200
-        assert sizes.count(96) <= 0.05 * len(calls)
+        assert sum(modes) > 200
+        assert len(modes) <= sum(modes) / integrable.MODE_BLOCK
+        assert sizes.count(96) <= 0.05 * sum(modes)
+
+    @staticmethod
+    def stack_shapes(monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return shapes
+
+    def test_no_stacked_svd_exceeds_the_element_cap(self, monkeypatch):
+        # a stack of several matrices holds at most 96^2 entries; a 192-node
+        # matrix, past that size on its own, is decomposed alone
+        shapes = self.stack_shapes(monkeypatch)
+        dirac_halfline_bound(1.0, 0.1, 1.0)
+        stacked = [s for s in shapes if s[0] > 1]
+        assert stacked and all(math.prod(s) <= 96 * 96 for s in stacked), stacked
+        # the cap splits the 36-node rung of a 16-mode block into stacks of 7
+        assert (7, 36, 36) in shapes
+
+    @pytest.mark.parametrize("kappa", [math.pi, 0.3, -math.pi / 2], ids=["pi", "0.3", "-pi/2"])
+    @pytest.mark.parametrize("atol", [0.0, 1e-13, 1e-9])
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, kappa, atol):
+        decays = np.geomspace(1e-3, 400, 77)
+        got = t_kernel_trace_norm(kappa, decays, atol=atol)
+        want = [t_kernel_trace_norm(kappa, float(s), atol=atol) for s in decays]
+        assert isinstance(want[0], float) and got.shape == decays.shape
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_array_gate_names_the_failing_decay(self, monkeypatch):
+        monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
+        with pytest.raises(IntegrableError, match="at 4 nodes .* at 8 nodes"):
+            t_kernel_trace_norm(math.pi, np.array([20.0, 1e-4]))
 
 
 class TestRealNystromForm:
@@ -319,7 +368,7 @@ class TestRealNystromForm:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         t_kernel_trace_norm(math.pi, 1e-3)
-        assert [shape for _, shape in seen] == [(n, n) for n in (36, 48, 72, 96, 192)]
+        assert [shape for _, shape in seen] == [(1, n, n) for n in integrable.NODE_COUNTS]
         assert all(dtype == np.float64 for dtype, _ in seen)
 
 
@@ -381,7 +430,11 @@ class TestLegendreRule:
                             or real(kappa, s, n, theta_max))
         t_kernel_trace_norm(math.pi, 0.4)
         assert [n for n, _ in seen] == list(integrable.NODE_COUNTS[:len(seen)])
-        assert len(seen) >= 2 and {t for _, t in seen} == {theta_cutoff(0.4)}
+        assert len(seen) >= 2 and {float(t) for _, ts in seen for t in ts} == {theta_cutoff(0.4)}
+
+    def test_cache_holds_every_rung(self):
+        # a longer ladder than the cache would evict rules and re-run leggauss
+        assert len(integrable.NODE_COUNTS) <= legendre_rule.cache_parameters()["maxsize"]
 
     def test_rule_built_once_and_read_only(self):
         x, w = legendre_rule(96)
@@ -643,16 +696,27 @@ class TestDiracBound:
     @pytest.mark.parametrize("m, eps, radius", [(1.0, 1.0, 1.0), (2.0, 3.0, 3.0)])
     def test_sum_stops_only_on_its_contribution_rule(self, m, eps, radius):
         # the modes (j + 1/2)/radius in ascending order, up to the first
-        # contribution below 1e-14 of the running total
+        # contribution below 1e-14 of the running total; each block of
+        # MODE_BLOCK modes converges to atol = 1e-12 of the total before it, / 4
         total, j = 0.0, 0
         while True:
+            if j % integrable.MODE_BLOCK == 0:
+                atol = 1e-12 * total / 4
             lam = (j + 0.5) / radius
-            contrib = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * math.sqrt(m * m + lam * lam) * eps)
+            contrib = 4.0 * t_kernel_trace_norm(math.pi, 2.0 * math.sqrt(m * m + lam * lam) * eps,
+                                                atol=atol)
             total += contrib
             if contrib < 1e-14 * max(total, 1.0):
                 break
             j += 1
         assert dirac_halfline_bound(m, eps, radius) == total
+
+    @pytest.mark.parametrize("radius", [1.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_matches_the_fixed_grid_sum(self, m, eps, radius):
+        want = dirac_halfline_bound_fixed(m, eps, radius)
+        assert abs(dirac_halfline_bound(m, eps, radius) - want) <= 1e-12 * want
 
     @staticmethod
     def corridor_values(tmp_path, extra):
