@@ -306,22 +306,13 @@ class TestAdaptiveTraceNorm:
         assert len(modes) <= sum(modes) / integrable.MODE_BLOCK
         assert sizes.count(96) <= 0.05 * sum(modes)
 
-    @staticmethod
-    def stack_shapes(monkeypatch):
-        shapes = []
-        real = np.linalg.svd
-
-        def counting(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        return shapes
-
     def test_no_stacked_svd_exceeds_the_element_cap(self, monkeypatch):
         # a stack of several matrices holds at most 96^2 entries; a 192-node
         # matrix, past that size on its own, is decomposed alone
-        shapes = self.stack_shapes(monkeypatch)
+        shapes = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, compute_uv: shapes.append(a.shape) or real(a, compute_uv=compute_uv))
         dirac_halfline_bound(1.0, 0.1, 1.0)
         stacked = [s for s in shapes if s[0] > 1]
         assert stacked and all(math.prod(s) <= 96 * 96 for s in stacked), stacked
@@ -337,10 +328,14 @@ class TestAdaptiveTraceNorm:
         assert isinstance(want[0], float) and got.shape == decays.shape
         assert got.tobytes() == np.array(want).tobytes()
 
-    def test_array_gate_names_the_failing_decay(self, monkeypatch):
-        monkeypatch.setattr(integrable, "NODE_COUNTS", (4, 8))
-        with pytest.raises(IntegrableError, match="at 4 nodes .* at 8 nodes"):
-            t_kernel_trace_norm(math.pi, np.array([20.0, 1e-4]))
+    def test_array_gate_names_the_first_failing_decay(self, monkeypatch):
+        # on this coarse ladder s = 3 and 1 pass the 0.5% gate, 1e-4 and 20 do not
+        monkeypatch.setattr(integrable, "NODE_COUNTS", (12, 24))
+        with pytest.raises(IntegrableError) as scalar:
+            t_kernel_trace_norm(math.pi, 1e-4)
+        with pytest.raises(IntegrableError) as stacked:
+            t_kernel_trace_norm(math.pi, np.array([3.0, 1.0, 1e-4, 20.0]))
+        assert str(stacked.value) == str(scalar.value)
 
 
 class TestRealNystromForm:
