@@ -1,17 +1,13 @@
 """Lower-bound toolkit: the binary relative-entropy gap function and the
-correlator and packing lower bounds built on it."""
+packing lower bound built on it."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .linalg import DensityMatrix
 
 
 class BoundsError(ValueError):
@@ -132,60 +128,6 @@ def gap_table() -> GapFunctionTable:
     """The default gap-function table, built on first use."""
     # build is looked up at call time, so a wrapper put on it (to time it) applies
     return GapFunctionTable.build()
-
-
-def _hermitian_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = 0.5 * (g + g.conj().T)
-    return h / max(np.max(np.abs(np.linalg.eigvalsh(h))), 1e-300)
-
-
-def _connected_correlator(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
-    from .linalg import partial_trace
-
-    joint = float(np.trace(rho.matrix @ np.kron(a, b)).real)
-    ma = float(np.trace(partial_trace(rho, "A").matrix @ a).real)
-    mb = float(np.trace(partial_trace(rho, "B").matrix @ b).real)
-    return joint - ma * mb
-
-
-def mutual_info_correlator_bound(rho: DensityMatrix, trials: int = 64, seed: int = 0) -> float:
-    """Correlator lower bound on the mutual information.
-
-    Random Hermitian contractions, each improved by a few seesaw steps (the
-    optimal contraction against a fixed partner is the sign of the connected
-    conditional operator).
-    """
-    # the density-matrix stack loads only here, so the gap function and the
-    # lattice bounds run without it
-    from .linalg import partial_trace
-    from .measures import _sign_observable, mutual_information
-
-    if rho.dimB == 1:
-        raise BoundsError("needs a bipartite state")
-    da, db = rho.dimA, rho.dimB
-    rng = np.random.default_rng(seed)
-    t = rho.matrix.reshape(da, db, da, db)
-    ra = partial_trace(rho, "A").matrix
-    rb = partial_trace(rho, "B").matrix
-    best = 0.0
-    for _ in range(trials):
-        a = _hermitian_contraction(da, rng)
-        b = _hermitian_contraction(db, rng)
-        for _ in range(4):
-            mb = np.einsum("abcd,ca->bd", t, a) - float(np.trace(ra @ a).real) * rb
-            mb = 0.5 * (mb + mb.conj().T)
-            b = _sign_observable(mb)[0]
-            ma = np.einsum("abcd,db->ac", t, b) - float(np.trace(rb @ b).real) * ra
-            ma = 0.5 * (ma + ma.conj().T)
-            a = _sign_observable(ma)[0]
-        best = max(best, abs(_connected_correlator(rho, a, b)))
-    x = 0.5 * best
-    value = gap_s(x) if 0.0 < x < 1.0 else 0.0
-    ei = mutual_information(rho).value
-    if value > ei + 1e-8:
-        raise BoundsError(f"correlator bound {value} exceeds the mutual information {ei}")
-    return value
 
 
 @dataclass(frozen=True)

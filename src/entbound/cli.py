@@ -369,11 +369,9 @@ def cmd_lower(args) -> int:
             out["warning"] = "corridor too wide: no pairs fit"
     elif args.state:
         from .linalg import load_state
+        from .measures import mutual_info_correlator_bound
 
-        rho = load_state(args.state)
-        out["correlator_bound"] = bounds.mutual_info_correlator_bound(
-            rho, trials=args.trials, seed=args.seed
-        )
+        out["correlator_bound"] = mutual_info_correlator_bound(load_state(args.state))
     else:
         raise ValueError("choose --s-of, --area or --state")
     return emit_json(args, out)
@@ -461,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenA", dest="len_a", type=float, default=1.0)
     p.add_argument("--lenB", dest="len_b", type=float, default=1.0)
     p.add_argument("--state")
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lower)
 

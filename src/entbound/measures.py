@@ -5,9 +5,11 @@ upper bounds everywhere else: a variational upper bound on the relative
 entanglement entropy (quasi-Newton steps in the log-weights and unit factor
 vectors of a separable mixture), a constructive
 dominating-separable-functional bound on the logarithmic dominance, a
-modular (nuclear-norm) bound, and a seesaw lower bound on the Bell
-correlation.  Each bound carries a certificate that can be re-verified
-independently of the code that produced it.
+modular (nuclear-norm) bound, and seesaw lower bounds on the Bell
+correlation and, through the correlator of two dichotomic observables, on
+the mutual information.  Each bound on an entanglement measure carries a
+certificate that can be re-verified independently of the code that
+produced it.
 """
 
 from __future__ import annotations
@@ -135,6 +137,35 @@ def mutual_information(rho: DensityMatrix) -> MeasureResult:
         raise MeasureError(f"mutual-information formulas disagree: {via_rel} vs {via_ent}")
     value = max(via_ent, 0.0)
     return MeasureResult("EI", value, EXACT, meta={"via_relative_entropy": via_rel})
+
+
+CORRELATOR_STARTS = 64
+
+
+def mutual_info_correlator_bound(rho: DensityMatrix) -> float:
+    """Correlator lower bound s(|<a (x) b> - <a><b>| / 2) on the mutual
+    information, over dichotomic a and b.
+
+    The connected correlator is the bilinear form of X = rho - rho_A (x) rho_B,
+    maximised by ``_dichotomic_seesaw`` from ``CORRELATOR_STARTS`` random
+    starts drawn from seed 0, each run until stationary (at most 200 rounds).
+    """
+    # the gap function loads here, so measures runs without the bounds module
+    from . import bounds
+
+    if rho.dimB == 1:
+        raise MeasureError("needs a bipartite state")
+    da, db = rho.dimA, rho.dimB
+    x = rho.matrix - np.kron(partial_trace(rho, "A").matrix, partial_trace(rho, "B").matrix)
+    rng = np.random.default_rng(0)
+    starts = np.array([[_random_dichotomic(db, rng)] for _ in range(CORRELATOR_STARTS)])
+    runs = _dichotomic_seesaw(x.reshape(da, db, da, db), np.ones((1, 1)), starts, 200)
+    gap = 0.5 * max(run[0] for run in runs)
+    value = bounds.gap_s(gap) if 0.0 < gap < 1.0 else 0.0
+    ei = mutual_information(rho).value
+    if value > ei + 1e-8:
+        raise MeasureError(f"correlator bound {value} exceeds the mutual information {ei}")
+    return value
 
 
 def schmidt_decomposition(psi: np.ndarray, dimA: int, dimB: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -618,21 +649,56 @@ def _full_schmidt_rank(rho: DensityMatrix) -> bool:
 # Bell correlation (seesaw lower bound)
 
 
-def _conditional_operator(rho: DensityMatrix, op: np.ndarray, on_b: bool) -> np.ndarray:
-    da, db = rho.dimA, rho.dimB
-    t = rho.matrix.reshape(da, db, da, db)
-    if on_b:
-        m = np.einsum("abcd,db->ac", t, op)
-    else:
-        m = np.einsum("abcd,ca->bd", t, op)
-    return 0.5 * (m + m.conj().T)
+# value weights of the CHSH form (1/2)[a1 (x) (b1 + b2) + a2 (x) (b1 - b2)]
+CHSH = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _sign_observable(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """sign(m), ties toward +1, and Tr[m sign(m)] = sum |lambda(m)|."""
+def _sign_observable(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sign(m) of each matrix in a stack, ties toward +1, and
+    Tr[m sign(m)] = sum |lambda(m)|."""
     w, v = np.linalg.eigh(m)
     s = np.where(w >= 0.0, 1.0, -1.0)
-    return (v * s) @ v.conj().T, float(np.sum(np.abs(w)))
+    return (v * s[..., None, :]) @ v.conj().swapaxes(-1, -2), np.abs(w).sum(axis=-1)
+
+
+def _dichotomic_seesaw(t: np.ndarray, coef: np.ndarray, starts: np.ndarray, max_iter: int) -> list:
+    """Seesaw for the maximum of sum_ij coef_ij Tr[t (a_i (x) b_j)] over
+    dichotomic observables a_i on A and b_j on B, with t the (dA, dB, dA, dB)
+    tensor of a Hermitian operator.
+
+    A round sets each a_i to the sign of the A-side conditional operator of
+    sum_j coef_ij b_j, which is the exact optimum for dichotomic observables,
+    then each b_j likewise from sum_i coef_ij a_i.  After the B half-step
+    the value is sum_j Tr[M_j b_j] with b_j = sign(M_j), the sum of the
+    |eigenvalues| of the B-side conditional operators M_j.  ``starts``
+    (R, k_B, dB, dB) holds each start's b_j.  The starts run in lockstep as
+    one stack (one stacked eigh per half-step), and each follows the
+    trajectory it would follow alone.  A start leaves the stack when a round
+    gains less than 1e-10, keeping the larger of its last two values, or
+    after ``max_iter`` rounds.  Returns one (value, (a, b), iterations,
+    stagnated) per start; stagnated means it ran all ``max_iter`` rounds.
+    """
+    def conditional(c, ops, spec):
+        r, k, d, _ = ops.shape
+        m = np.einsum(spec, t, (c @ ops.reshape(r, k, d * d)).reshape(r, -1, d, d))
+        return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+    b = starts
+    idx, val = np.arange(len(b)), np.full(len(b), -np.inf)
+    runs: list = [None] * len(b)
+    for it in range(1, max_iter + 1):
+        a = _sign_observable(conditional(coef, b, "abcd,rkdb->rkac"))[0]
+        b, norms = _sign_observable(conditional(coef.T, a, "abcd,rkca->rkbd"))
+        new = norms.sum(axis=1)
+        gained = ~(new - val < 1e-10)
+        val = np.where(gained, new, np.maximum(val, new))
+        out = ~gained | (it == max_iter)
+        for j in np.flatnonzero(out):
+            runs[idx[j]] = (float(val[j]), (a[j], b[j]), it, bool(gained[j]))
+        idx, val, b = idx[~out], val[~out], b[~out]
+        if not idx.size:
+            break
+    return runs
 
 
 def bell_functional(rho: DensityMatrix, a1, a2, b1, b2) -> float:
@@ -648,12 +714,12 @@ def bell_correlation(
 ) -> MeasureResult:
     """Seesaw lower bound on the maximal Bell correlation of the state.
 
-    Each half-step replaces one party's observables by the sign of the
-    conditional operator, which is the exact optimum for dichotomic
-    observables; alternation stops when the value is stationary.  After the
-    B half-step the value is Tr[M_1 b_1] + Tr[M_2 b_2] with b_k = sign(M_k),
-    so it is the sum of |eigenvalues| of the two B-side conditional
-    operators, and ``bell_functional`` is only needed to re-check it.
+    ``_dichotomic_seesaw`` on rho with the CHSH weights, from ``restarts``
+    random pairs (b_1, b_2); the first start with the highest value gives
+    the value and the certificate (a_1, a_2, b_1, b_2), which
+    ``bell_functional`` re-checks.  ``meta["iterations"]`` sums the starts'
+    rounds, and ``meta["stagnated"]`` says some start ran all
+    ``seesaw_iters`` rounds without becoming stationary.
 
     The sqrt(2) ceiling checked on the result is Tsirelson's bound, which
     holds in every local dimension.  The maximally entangled state phi+_n
@@ -665,36 +731,20 @@ def bell_correlation(
         raise MeasureError("Bell correlation needs a bipartite state")
     if rho.dimA > 8 or rho.dimB > 8:
         raise MeasureError("seesaw capped at local dimension 8")
+    if restarts < 1 or seesaw_iters < 1:
+        raise MeasureError("seesaw needs at least one start and one round")
     da, db = rho.dimA, rho.dimB
     rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_obs = None
-    total_iters = 0
-    for _ in range(restarts):
-        b1 = _random_dichotomic(db, rng)
-        b2 = _random_dichotomic(db, rng)
-        a1 = a2 = np.eye(da, dtype=complex)
-        val = -np.inf
-        for it in range(seesaw_iters):
-            total_iters += 1
-            a1 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 + b2), on_b=True))[0]
-            a2 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 - b2), on_b=True))[0]
-            b1, norm1 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 + a2), on_b=False))
-            b2, norm2 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 - a2), on_b=False))
-            new = norm1 + norm2
-            if new - val < 1e-10:
-                val = max(val, new)
-                break
-            val = new
-        if val > best:
-            best = val
-            best_obs = (a1, a2, b1, b2)
+    starts = np.array([[_random_dichotomic(db, rng) for _ in range(2)] for _ in range(restarts)])
+    runs = _dichotomic_seesaw(rho.matrix.reshape(da, db, da, db), CHSH, starts, seesaw_iters)
+    best, (a, b), _, _ = max(runs, key=lambda run: run[0])
     tsirelson = np.sqrt(2.0)
     if best > tsirelson + 1e-9:
         raise MeasureError(f"seesaw value {best} exceeds the dichotomic-correlation ceiling")
     return MeasureResult(
-        "EB", float(best), LOWER, certificate=best_obs,
-        meta={"iterations": total_iters, "seed": seed},
+        "EB", best, LOWER, certificate=(a[0], a[1], b[0], b[1]),
+        meta={"iterations": sum(run[2] for run in runs), "seed": seed,
+              "stagnated": any(run[3] for run in runs)},
     )
 
 

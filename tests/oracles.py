@@ -109,15 +109,17 @@ def bell_phi_plus_value(n: int) -> float:
 
 
 def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8, seed: int = 0):
-    """The Bell seesaw with every round's value re-evaluated by
-    ``measures.bell_functional`` (a d^2 x d^2 Kronecker product and matrix
-    product per round); returns (value, total iterations)."""
-    from entbound.measures import (
-        _conditional_operator,
-        _random_dichotomic,
-        _sign_observable,
-        bell_functional,
-    )
+    """The Bell seesaw one start and one observable at a time, with every
+    round's value re-evaluated by ``measures.bell_functional`` (a d^2 x d^2
+    Kronecker product and matrix product per round); returns (value, total
+    iterations)."""
+    from entbound.measures import _random_dichotomic, _sign_observable, bell_functional
+
+    t = rho.matrix.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
+
+    def conditional(op, on_b):
+        m = np.einsum("abcd,db->ac", t, op) if on_b else np.einsum("abcd,ca->bd", t, op)
+        return 0.5 * (m + m.conj().T)
 
     rng = np.random.default_rng(seed)
     best = -np.inf
@@ -125,14 +127,13 @@ def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8,
     for _ in range(restarts):
         b1 = _random_dichotomic(rho.dimB, rng)
         b2 = _random_dichotomic(rho.dimB, rng)
-        a1 = a2 = np.eye(rho.dimA, dtype=complex)
         val = -np.inf
         for _ in range(seesaw_iters):
             total_iters += 1
-            a1 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 + b2), on_b=True))[0]
-            a2 = _sign_observable(_conditional_operator(rho, 0.5 * (b1 - b2), on_b=True))[0]
-            b1 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 + a2), on_b=False))[0]
-            b2 = _sign_observable(_conditional_operator(rho, 0.5 * (a1 - a2), on_b=False))[0]
+            a1 = _sign_observable(conditional(0.5 * (b1 + b2), on_b=True))[0]
+            a2 = _sign_observable(conditional(0.5 * (b1 - b2), on_b=True))[0]
+            b1 = _sign_observable(conditional(0.5 * (a1 + a2), on_b=False))[0]
+            b2 = _sign_observable(conditional(0.5 * (a1 - a2), on_b=False))[0]
             new = bell_functional(rho, a1, a2, b1, b2)
             if new - val < 1e-10:
                 val = max(val, new)
@@ -140,6 +141,49 @@ def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8,
             val = new
         best = max(best, val)
     return float(best), total_iters
+
+
+def _hermitian_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = 0.5 * (g + g.conj().T)
+    return h / max(np.max(np.abs(np.linalg.eigvalsh(h))), 1e-300)
+
+
+def _connected_correlator(rho, a: np.ndarray, b: np.ndarray) -> float:
+    from entbound.linalg import partial_trace
+
+    joint = float(np.trace(rho.matrix @ np.kron(a, b)).real)
+    ma = float(np.trace(partial_trace(rho, "A").matrix @ a).real)
+    mb = float(np.trace(partial_trace(rho, "B").matrix @ b).real)
+    return joint - ma * mb
+
+
+def correlator_bound_random_trials(rho, trials: int = 64, seed: int = 0) -> float:
+    """The correlator lower bound on the mutual information from ``trials``
+    random Hermitian contractions, each improved by four seesaw sweeps and
+    scored by its connected correlator; ``measures.mutual_info_correlator_bound``,
+    which runs each start to stationarity, is never below it."""
+    from entbound.bounds import gap_s
+    from entbound.linalg import partial_trace
+    from entbound.measures import _sign_observable
+
+    da, db = rho.dimA, rho.dimB
+    rng = np.random.default_rng(seed)
+    t = rho.matrix.reshape(da, db, da, db)
+    ra = partial_trace(rho, "A").matrix
+    rb = partial_trace(rho, "B").matrix
+    best = 0.0
+    for _ in range(trials):
+        a = _hermitian_contraction(da, rng)
+        b = _hermitian_contraction(db, rng)
+        for _ in range(4):
+            mb = np.einsum("abcd,ca->bd", t, a) - float(np.trace(ra @ a).real) * rb
+            b = _sign_observable(0.5 * (mb + mb.conj().T))[0]
+            ma = np.einsum("abcd,db->ac", t, b) - float(np.trace(rb @ b).real) * ra
+            a = _sign_observable(0.5 * (ma + ma.conj().T))[0]
+        best = max(best, abs(_connected_correlator(rho, a, b)))
+    x = 0.5 * best
+    return gap_s(x) if 0.0 < x < 1.0 else 0.0
 
 
 def s2_eval(s, zeta: complex) -> complex:

@@ -11,7 +11,6 @@ from entbound.bounds import (
     gap_s,
     gap_s_series,
     gap_table,
-    mutual_info_correlator_bound,
 )
 from entbound.linalg import (
     density_matrix,
@@ -20,8 +19,14 @@ from entbound.linalg import (
     pure_state,
     random_density_matrix,
 )
-from entbound.measures import mutual_information
-from oracles import entropy_gap_check, fidelity_lower_bound_check, gap_s_mp, gap_s_scalar
+from entbound.measures import mutual_info_correlator_bound, mutual_information
+from oracles import (
+    correlator_bound_random_trials,
+    entropy_gap_check,
+    fidelity_lower_bound_check,
+    gap_s_mp,
+    gap_s_scalar,
+)
 
 # where the two geometric halves of the gap table's grid meet
 GRID_SEAM = 0.5235
@@ -164,24 +169,30 @@ class TestCorrelatorBound:
     def test_product_state_zero(self):
         rho = product_state(random_density_matrix(2, seed=2).matrix,
                             random_density_matrix(2, seed=3).matrix)
-        assert mutual_info_correlator_bound(rho, trials=16, seed=0) <= 1e-9
+        assert mutual_info_correlator_bound(rho) <= 1e-9
 
-    def test_phi_plus_pauli(self):
-        rho = maximally_entangled(2)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        from entbound.bounds import _connected_correlator
-
-        corr = _connected_correlator(rho, sz, sz)
-        assert abs(corr - 1.0) <= 1e-12
-        val = mutual_info_correlator_bound(rho, trials=32, seed=0)
-        assert val >= gap_s(0.5) - 1e-9
-        assert val <= 2 * math.log(2) + 1e-9
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_phi_plus_exact(self, n):
+        # cov(a, b) <= sqrt(var a var b) and var a <= 1 - (Tr a / n)^2, with
+        # |Tr a| >= 1 for odd n; diagonal +-1 observables of least |trace|
+        # reach it
+        want = gap_s(0.5 * (1.0 - (n % 2) / n**2))
+        assert abs(mutual_info_correlator_bound(maximally_entangled(n)) - want) <= 1e-12
 
     def test_never_exceeds_mutual_information(self):
         for seed in range(100):
             rho = random_density_matrix(2, 2, seed=seed)
-            val = mutual_info_correlator_bound(rho, trials=8, seed=seed)
+            val = mutual_info_correlator_bound(rho)
             assert val <= mutual_information(rho).value + 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dominates_random_trials(self, d):
+        for seed in range(100, 120):
+            rank = int(np.random.default_rng(seed).integers(1, d * d + 1))
+            rho = random_density_matrix(d, d, rank=rank, seed=seed)
+            val = mutual_info_correlator_bound(rho)
+            assert val >= correlator_bound_random_trials(rho, 64, 0) - 1e-12, seed
+            assert mutual_info_correlator_bound(rho) == val
 
 
 class TestAreaLaw:

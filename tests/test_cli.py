@@ -522,7 +522,7 @@ class TestToleranceScope:
         path = tmp_path / "off_trace.json"
         path.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": m.tolist(),
                                     "im": np.zeros((4, 4)).tolist()}))
-        argv = ["lower", "--state", str(path), "--trials", "4"]
+        argv = ["lower", "--state", str(path)]
         assert main(["--tol-profile", "lattice"] + argv) == 0
         assert main(argv) == 1
         assert main(["--tol-profile", "lattice"] + argv) == 0
@@ -715,6 +715,21 @@ class TestTracedNamesImportedByModule:
                 source = ".".join(filter(None, ["entbound" if node.level else "", node.module]))
                 bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                         if (source, a.name) in traced]
+        assert not bad
+
+
+class TestNoPrivateNamesImportedAcrossModules:
+    """A module uses another entbound module's public names only, in its
+    functions too, so each private helper has one module that owns it."""
+
+    def test_no_module_imports_a_private_name(self):
+        bad = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").split(".")[0] == "entbound"):
+                    bad += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                            if a.name.startswith("_") and not _is_dunder(a.name)]
         assert not bad
 
 

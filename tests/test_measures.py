@@ -599,13 +599,26 @@ class TestBellSeesawValue:
         ginibre_state(1, 0, 3),
         ginibre_state(2, 0, 4),
         ginibre_state(3, 0, 4, pure=True),
-    ], ids=["phi_plus", "audit-2x2-0", "audit-3x3-0", "nuclear-4x4-0", "pure-4x4-0"])
+        maximally_entangled(3),
+        random_density_matrix(2, 3, rank=6, seed=7),
+    ], ids=["phi_plus", "audit-2x2-0", "audit-3x3-0", "nuclear-4x4-0", "pure-4x4-0",
+            "phi_plus_3", "random-2x3"])
     def test_matches_functional_loop(self, rho):
         want, iters = bell_correlation_functional(rho)
         res = bell_correlation(rho)
         assert res.meta["iterations"] == iters
         assert abs(res.value - want) <= 1e-12
         verify_certificate(rho, res)
+
+    @pytest.mark.parametrize("rho, stagnated", [
+        (ginibre_state(3, 3, 4, pure=True), True),
+        (maximally_entangled(2), False),
+        (ginibre_state(2, 0, 4), False),
+    ], ids=["pure-4x4-3", "phi_plus", "nuclear-4x4-0"])
+    def test_stagnated_means_a_start_ran_out_of_rounds(self, rho, stagnated):
+        assert bell_correlation(rho).meta["stagnated"] is stagnated
+        # one round never finds a start stationary
+        assert bell_correlation(rho, seesaw_iters=1).meta["stagnated"] is True
 
 
 class TestOrderingAudit:
