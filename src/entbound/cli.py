@@ -132,42 +132,17 @@ def _map_rows(fn, points):
 # ---------------------------------------------------------------------------
 # subcommands
 
-# each entry looks its function up on the measures module when called, so a
-# wrapper put there (to count or time calls) applies
-_MEASURES = {
-    "EI": lambda measures, rho, args: measures.mutual_information(rho),
-    "ER": lambda measures, rho, args: measures.relative_entanglement_entropy_upper(
-        rho, restarts=args.er_restarts, seed=args.seed),
-    "EN": lambda measures, rho, args: measures.log_dominance_upper(rho),
-    "EM": lambda measures, rho, args: measures.modular_nuclearity_upper(rho),
-    "EB": lambda measures, rho, args: measures.bell_correlation(rho, seed=args.seed),
-}
-
-
 def cmd_measures(args) -> int:
     from . import linalg, measures
 
     rho = linalg.load_state(args.state)
     wanted = [m.strip().upper() for m in args.measures.split(",") if m.strip()]
-    for name in wanted:
-        if name not in _MEASURES:
-            raise ValueError(f"unknown measure {name!r}")
+    audit = measures.ordering_audit(rho, wanted, seed=args.seed, er_restarts=args.er_restarts)
     report: dict = {"state": args.state}
     if {"EI", "ER", "EN", "EM"} <= set(wanted):
-        audit = measures.ordering_audit(rho, seed=args.seed, er_restarts=args.er_restarts,
-                                        include_eb="EB" in wanted)
-        results = audit.results
-        report["ordering_audit"] = {
-            "values": audit.values,
-            "links": [
-                {"name": n, "lhs": lhs, "rhs": rhs, "ok": ok}
-                for n, lhs, rhs, ok in audit.links
-            ],
-            "ok": audit.ok,
-        }
-    else:
-        results = {name: _MEASURES[name](measures, rho, args) for name in dict.fromkeys(wanted)}
-    report["results"] = [dict(results[name].to_record(), seed=args.seed) for name in wanted]
+        report["ordering_audit"] = {"values": audit.values, "links": audit.links, "ok": audit.ok}
+    report["results"] = [dict(audit.results[name].to_record(), seed=args.seed)
+                         for name in wanted]
     return emit_json(args, report)
 
 

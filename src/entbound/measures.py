@@ -29,7 +29,6 @@ from .linalg import (
     matrix_power_psd,
     partial_trace,
     swap_sides,
-    trace_norm,
 )
 
 EXACT = "exact"
@@ -59,10 +58,6 @@ class SeparableAnsatz:
             if not np.max(np.abs(norms - 1.0)) <= 1e-8:
                 raise MeasureError("ansatz factor vectors must be unit norm")
 
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
     def materialize(self) -> DensityMatrix:
         da = self.factors_a.shape[0]
         db = self.factors_b.shape[0]
@@ -75,9 +70,6 @@ class SeparableDecomposition:
     """Functional pairs (F_j, G_j) with sum_j F_j (x) G_j equal to the state."""
 
     pairs: list[tuple[np.ndarray, np.ndarray]]
-
-    def cost(self) -> float:
-        return float(sum(trace_norm(f) * trace_norm(g) for f, g in self.pairs))
 
     def reconstruct(self) -> np.ndarray:
         return sum(np.kron(f, g) for f, g in self.pairs)
@@ -437,7 +429,7 @@ def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> tuple:
     da, db = rho.dimA, rho.dimB
     rng = np.random.default_rng(seed)
     starts = [_schmidt_channel_init(rho.matrix, da, db, k, rng)]
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         p = rng.random(k)
         starts.append((p / p.sum(),
                        np.column_stack([_random_unit(da, rng) for _ in range(k)]),
@@ -447,7 +439,6 @@ def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> tuple:
 
 def relative_entanglement_entropy_upper(
     rho: DensityMatrix,
-    n_components: int | None = None,
     restarts: int = 8,
     seed: int = 0,
     max_iter: int = 150,
@@ -473,8 +464,9 @@ def relative_entanglement_entropy_upper(
         raise MeasureError("E_R needs a bipartite state")
     if rho.dim > 64:
         raise MeasureError("optimizer capped at total dimension 64")
-    k = 2 * rho.dim if n_components is None else n_components
-    runs = _descend(rho.matrix, *_er_starts(rho, k, restarts, seed), max_iter)
+    if restarts < 1 or max_iter < 1:
+        raise MeasureError("E_R descent needs at least one restart and one step")
+    runs = _descend(rho.matrix, *_er_starts(rho, 2 * rho.dim, restarts, seed), max_iter)
     val, (p, av, bv), _, stop = min(runs, key=lambda run: run[0])
     return MeasureResult(
         "ER", float(val), UPPER,
@@ -795,45 +787,62 @@ def verify_certificate(rho: DensityMatrix, result: MeasureResult, tol: float = 1
 @dataclass(frozen=True)
 class OrderingReport:
     values: dict
-    links: list[tuple[str, float, float, bool]]
-    results: dict   # measure name -> MeasureResult
+    links: list[dict]   # {"name", "lhs", "rhs", "ok"} per certified link
+    results: dict       # measure name -> MeasureResult
 
     @property
     def ok(self) -> bool:
-        return all(link[3] for link in self.links)
+        return all(link["ok"] for link in self.links)
+
+
+# measure name -> its evaluation; each looks its function up on this module
+# when called, so a wrapper put here (to count or time calls) applies
+_EVALUATE = {
+    "EI": lambda rho, seed, er_restarts: mutual_information(rho),
+    "ER": lambda rho, seed, er_restarts: relative_entanglement_entropy_upper(
+        rho, restarts=er_restarts, seed=seed),
+    "EN": lambda rho, seed, er_restarts: log_dominance_upper(rho),
+    "EM": lambda rho, seed, er_restarts: modular_nuclearity_upper(rho),
+    "EB": lambda rho, seed, er_restarts: bell_correlation(rho, seed=seed),
+}
+MEASURES = tuple(_EVALUATE)
 
 
 def ordering_audit(
     rho: DensityMatrix,
+    names=MEASURES,
     seed: int = 0,
     er_restarts: int = 8,
     slack: float = 1e-8,
-    include_er: bool = True,
-    include_eb: bool = True,
 ) -> OrderingReport:
-    """Evaluate the measures and execute the certified chain inequalities.
+    """Evaluate the named measures once each, in the order given, and check
+    the certified chain inequalities among them.
 
-    The two asserted links are the ones provable from the certificates: the
-    relative entropy to the normalized dominating functional never exceeds
-    the dominance bound, and the matrix-unit dominance bound never exceeds
-    the modular bound built from the same matrix units.  Every result is
-    returned in ``results``, so callers need not evaluate a measure again.
+    ``names`` is drawn from ``MEASURES``; an empty list or an unknown name
+    raises ``MeasureError`` before anything is computed.  ``seed`` goes to
+    E_R and E_B, ``er_restarts`` to E_R.  When EN and EM are both named,
+    ``links`` holds the two links provable from the certificates, as
+    ``{"name", "lhs", "rhs", "ok"}`` records: the relative entropy to the
+    normalized dominating functional never exceeds the dominance bound, and
+    the matrix-unit dominance bound never exceeds the modular bound built
+    from the same matrix units; otherwise it is empty.  ``values`` keys an
+    upper bound as ``<name>_upper``.  Every result is returned in
+    ``results``, so callers need not evaluate a measure again.
     """
-    results = {
-        "EI": mutual_information(rho),
-        "EN": log_dominance_upper(rho),
-        "EM": modular_nuclearity_upper(rho),
-    }
-    if include_er:
-        results["ER"] = relative_entanglement_entropy_upper(rho, restarts=er_restarts, seed=seed)
-    if include_eb:
-        results["EB"] = bell_correlation(rho, seed=seed)
+    names = tuple(dict.fromkeys(names))
+    if not names:
+        raise MeasureError("no measure named")
+    for name in names:
+        if name not in _EVALUATE:
+            raise MeasureError(f"unknown measure {name!r}")
+    results = {name: _EVALUATE[name](rho, seed, er_restarts) for name in names}
     values = {(f"{name}_upper" if res.kind == UPPER else name): res.value
               for name, res in results.items()}
-    en, em = results["EN"], results["EM"]
-    h_sigma = en.meta["h_to_normalized_sigma"]
-    links = [
-        ("H(rho, sigma_N/tr) <= EN_upper", h_sigma, en.value, bool(h_sigma <= en.value + slack)),
-        ("EN_upper <= EM_upper", en.value, em.value, bool(en.value <= em.value + slack)),
-    ]
+    links = []
+    if "EN" in results and "EM" in results:
+        en, em = results["EN"], results["EM"]
+        for name, lhs, rhs in (("H(rho, sigma_N/tr) <= EN_upper",
+                                en.meta["h_to_normalized_sigma"], en.value),
+                               ("EN_upper <= EM_upper", en.value, em.value)):
+            links.append({"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs + slack)})
     return OrderingReport(values=values, links=links, results=results)

@@ -172,9 +172,9 @@ def test_criterion_3_certified_ordering_chain():
     violations = []
     for seed in range(50):
         rho = random_density_matrix(2, 2, rank=4, seed=seed)
-        rep = ordering_audit(rho, include_er=False, include_eb=False, slack=1e-8)
+        rep = ordering_audit(rho, names=("EI", "EN", "EM"), slack=1e-8)
         if not rep.ok:
-            violations.append((seed, [link[0] for link in rep.links if not link[3]]))
+            violations.append((seed, [link["name"] for link in rep.links if not link["ok"]]))
     verdict(3, not violations, f"50 random faithful 2x2 states, violations: {violations}")
 
 

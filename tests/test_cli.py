@@ -143,6 +143,18 @@ class TestMeasuresCommand:
         assert rec["ratio"] == 0.5
         assert "listed" not in rec and "array" not in rec
 
+    @pytest.mark.parametrize("key", ["dimA", "dimB"])
+    @pytest.mark.parametrize("dim", [2.9, True, "2"])
+    def test_non_integer_dimension_exits_1(self, dim, key, phi_plus_file, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        record = json.loads(Path(phi_plus_file).read_text())
+        state.write_text(json.dumps(dict(record, **{key: dim})))
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", str(state), "--measures", "EI",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a JSON integer")
+        assert not out.exists()
+
     def test_malformed_state_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -564,21 +576,35 @@ class TestToleranceScope:
         assert abs(rec["value"] - rec["via_relative_entropy"]) <= 1e-9
 
 
+# each measure name and the measures function that evaluates it
+MEASURE_FUNCTIONS = {
+    "EI": "mutual_information",
+    "ER": "relative_entanglement_entropy_upper",
+    "EN": "log_dominance_upper",
+    "EM": "modular_nuclearity_upper",
+    "EB": "bell_correlation",
+}
+
+
 class TestMeasuresEvaluatedOnce:
-    def test_full_report_evaluates_each_measure_once(self, phi_plus_file, tmp_path, monkeypatch):
-        calls = {}
-        for name in ("relative_entanglement_entropy_upper", "bell_correlation"):
+    @pytest.mark.parametrize("names", ["EI,EN,EM,EB", None], ids=["nuclear", "default"])
+    def test_each_measure_runs_once(self, names, phi_plus_file, tmp_path, monkeypatch):
+        calls = dict.fromkeys(("ordering_audit", *MEASURE_FUNCTIONS.values()), 0)
+        for name in calls:
             real = getattr(measures, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                calls[_name] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(measures, name, counting)
         out = tmp_path / "report.json"
-        assert main(["measures", "--state", phi_plus_file, "--er-restarts", "2",
-                     "--seed", "1", "--out", str(out)]) == 0
-        assert calls == {"relative_entanglement_entropy_upper": 1, "bell_correlation": 1}
+        argv = ["measures", "--state", phi_plus_file, "--er-restarts", "2", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv + (["--measures", names] if names else [])) == 0
+        wanted = (names or "EI,ER,EN,EM,EB").split(",")
+        assert calls == {"ordering_audit": 1, **{
+            fn: int(m in wanted) for m, fn in MEASURE_FUNCTIONS.items()}}
         monkeypatch.undo()
         rho = load_state(phi_plus_file)
         direct = {
@@ -589,9 +615,30 @@ class TestMeasuresEvaluatedOnce:
             "EB": measures.bell_correlation(rho, seed=1),
         }
         report = json.loads(out.read_text())
-        assert {r["measure"]: r["value"] for r in report["results"]} == {
-            k: v.value for k, v in direct.items()}
-        assert report["ordering_audit"]["values"]["ER_upper"] == direct["ER"].value
+        assert [(r["measure"], r["value"]) for r in report["results"]] == [
+            (m, direct[m].value) for m in wanted]
+        assert ("ordering_audit" in report) == (names is None)
+        if names is None:
+            assert report["ordering_audit"]["values"]["ER_upper"] == direct["ER"].value
+
+    def test_cmd_measures_calls_only_ordering_audit(self):
+        # every measure runs through ordering_audit's one loop, so no other
+        # code in the CLI (a name table, a second branch) reaches a measure
+        own = {name for name, obj in vars(measures).items()
+               if inspect.isfunction(obj) and obj.__module__ == measures.__name__}
+        called: dict = {}
+        for top in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) \
+                        and fn.value.id == "measures":
+                    fn = ast.Name(fn.attr)
+                if isinstance(fn, ast.Name) and fn.id in own:
+                    called.setdefault(getattr(top, "name", type(top).__name__), set()).add(fn.id)
+        assert called == {"cmd_measures": {"ordering_audit"},
+                          "cmd_lower": {"mutual_info_correlator_bound"}}
 
     def test_audit_without_eb_skips_the_bell_seesaw(self, phi_plus_file, tmp_path, monkeypatch):
         calls = []
@@ -608,6 +655,14 @@ class TestMeasuresEvaluatedOnce:
 
 
 class TestErrorExit:
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_er_without_a_restart_exits_1(self, restarts, phi_plus_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--measures", "ER",
+                     "--er-restarts", restarts, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["gaussian", "--sites", "3", "--regionA", "0..1", "--gap", "1"],
         ["integrable", "--model", "custom", "--poles", "abc"],

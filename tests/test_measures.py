@@ -197,6 +197,11 @@ class TestRelativeEntanglementUpper:
         assert res.meta["stop"] == "max_iter" and res.meta["stagnated"] is True
         assert res.meta["iterations"] == 10
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iter": 0}])
+    def test_needs_a_restart_and_a_step(self, kwargs):
+        with pytest.raises(MeasureError):
+            relative_entanglement_entropy_upper(faithful_2x2(0), **kwargs)
+
     def test_zero_value_stops_before_a_step(self):
         # a start that already reproduces a product state has nothing to descend
         ra, rb = random_density_matrix(2, seed=0).matrix, random_density_matrix(2, seed=1).matrix
@@ -643,9 +648,24 @@ class TestOrderingAudit:
     def test_chain_on_random_states(self):
         for seed in range(50):
             rho = faithful_2x2(seed)
-            rep = ordering_audit(rho, include_er=False, include_eb=False)
-            broken = [link[0] for link in rep.links if not link[3]]
+            rep = ordering_audit(rho, names=("EI", "EN", "EM"))
+            broken = [link["name"] for link in rep.links if not link["ok"]]
             assert rep.ok, f"seed {seed}: broken {broken}"
+
+
+    @pytest.mark.parametrize("names", [(), ("EI", "XX")], ids=["empty", "unknown"])
+    def test_bad_names_rejected_before_computing(self, names, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a measure was evaluated")
+
+        monkeypatch.setattr(measures, "mutual_information", fail)
+        with pytest.raises(MeasureError):
+            ordering_audit(maximally_entangled(2), names=names)
+
+    def test_links_need_en_and_em(self):
+        rep = ordering_audit(faithful_2x2(0), names=("EI", "EN"))
+        assert rep.links == [] and rep.ok
+        assert list(rep.values) == ["EI", "EN_upper"]
 
 
 class TestSymmetriesAndTensoring:
