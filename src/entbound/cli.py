@@ -4,18 +4,18 @@ CSV/JSON emission and reproducibility manifests.
 Each subcommand imports the domain module it runs, so a process loads only
 what its one command needs: the integrable sweep runs without numpy, and
 only ``measures`` (and ``lower --state``) load the density-matrix stack.
+Only a manifest that digests an input file loads hashlib (and OpenSSL).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextvars
-import datetime
-import hashlib
 import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__, config
@@ -67,6 +67,8 @@ def parse_points(spec: str, integer: bool = False):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -82,7 +84,7 @@ def write_manifest(out_path: Path, args: argparse.Namespace) -> None:
                    if not k.startswith("_") and k != "func" and _jsonable(v)},
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "inputs": {p: _sha256(Path(p)) for p in inputs if Path(p).exists()},
     }
     Path(str(out_path) + ".manifest.json").write_text(

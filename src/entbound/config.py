@@ -9,17 +9,14 @@ are module constants, read at call time.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    # absolute tolerance on the trace of a density matrix
-    structural_abs: float = 1e-10
-    # eigenvalues in [-psd_slack, 0] are treated as zero; below is an error
-    psd_slack: float = 1e-10
-
+# structural_abs: absolute tolerance on the trace of a density matrix;
+# psd_slack: eigenvalues in [-psd_slack, 0] are treated as zero, below is an
+# error.  A namedtuple, so that importing the command line loads neither
+# dataclasses nor the inspect module that it imports
+Tolerances = namedtuple("Tolerances", "structural_abs psd_slack", defaults=(1e-10, 1e-10))
 
 STRICT = Tolerances()
 
@@ -27,7 +24,7 @@ STRICT = Tolerances()
 # Only linalg reads these two fields (state validation and
 # matrix_power_psd), so it changes nothing in the gaussian, integrable or
 # dirac commands
-LATTICE = replace(STRICT, structural_abs=1e-8, psd_slack=1e-8)
+LATTICE = STRICT._replace(structural_abs=1e-8, psd_slack=1e-8)
 
 PROFILES = {"strict": STRICT, "lattice": LATTICE}
 

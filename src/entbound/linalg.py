@@ -220,14 +220,18 @@ def to_json_dict(rho: DensityMatrix) -> dict:
 def from_json_dict(d: dict) -> DensityMatrix:
     try:
         dim_a, dim_b = d["dimA"], d["dimB"]
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
+        parts = [np.asarray(d[key], dtype=object) for key in ("re", "im")]
     except (KeyError, TypeError) as exc:
         raise LinalgError(f"malformed state record: {exc}") from exc
     # int() would truncate a float, parse a string and take a bool as 0 or 1
     for key, dim in (("dimA", dim_a), ("dimB", dim_b)):
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
             raise LinalgError(f"{key} must be a JSON integer, got {dim!r}")
+    # a float conversion would parse a string entry, take a bool as 0 or 1 and null as nan
+    bad = [x for part in parts for x in part.flat if type(x) not in (int, float)]
+    if bad:
+        raise LinalgError(f"re/im entries must be JSON numbers, got {bad[0]!r}")
+    re, im = (part.astype(float) for part in parts)
     if re.shape != im.shape or re.ndim != 2:
         raise LinalgError("re/im must be matching 2-d arrays")
     return DensityMatrix(dimA=dim_a, dimB=dim_b, matrix=re + 1j * im)

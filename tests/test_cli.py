@@ -155,6 +155,21 @@ class TestMeasuresCommand:
         assert capsys.readouterr().err.startswith(f"error: {key} must be a JSON integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", ["0.5", False, True, None])
+    def test_non_number_entry_exits_1(self, entry, key, phi_plus_file, tmp_path, capsys):
+        # a float conversion would parse "0.5", take a bool as 0 or 1 and
+        # null as nan; none of them is a JSON number
+        state = tmp_path / "state.json"
+        record = json.loads(Path(phi_plus_file).read_text())
+        record[key][1][2] = entry
+        state.write_text(json.dumps(record))
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", str(state), "--measures", "EI",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: re/im entries must be JSON numbers")
+        assert not out.exists()
+
     def test_malformed_state_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -333,6 +348,39 @@ class TestImportCost:
         loaded = _modules_after("import entbound.cli")
         assert "numpy" not in loaded
         assert {"entbound.cli", "entbound.config"} <= loaded
+
+    def test_cli_import_loads_no_dataclasses_openssl_or_datetime(self):
+        loaded = _modules_after("import entbound.cli")
+        assert not loaded & {"dataclasses", "inspect", "hashlib", "_hashlib", "datetime"}
+
+    def test_integrable_sweep_with_manifest_loads_no_dataclasses_or_hashlib(self, tmp_path):
+        loaded = _modules_after_cli(["integrable", "--g", "0.5", "--mR", "3..8..0.5",
+                                     "--out", str(tmp_path / "sweep.csv")])
+        assert (tmp_path / "sweep.csv.manifest.json").exists()
+        assert not loaded & {"numpy", "dataclasses", "hashlib"}
+
+    @pytest.mark.parametrize("argv", [
+        ["dirac", "--eps", "0.2"],
+        ["gaussian", "--sites", "32", "--regionA", "4..7", "--gap", "4", "--trials", "1"],
+    ], ids=["dirac", "gaussian"])
+    def test_sweeps_without_input_files_leave_openssl_unmapped(self, argv, tmp_path):
+        # only a manifest that digests an input file imports hashlib
+        loaded = _modules_after_cli(argv + ["--out", str(tmp_path / "sweep.csv")])
+        assert (tmp_path / "sweep.csv.manifest.json").exists()
+        assert "_hashlib" not in loaded
+
+    def test_measures_manifest_digests_its_state_file(self, phi_plus_file, tmp_path):
+        import datetime
+        import hashlib
+
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--measures", "EI",
+                     "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        digest = hashlib.sha256(Path(phi_plus_file).read_bytes()).hexdigest()
+        assert manifest["inputs"] == {phi_plus_file: digest}
+        stamp = datetime.datetime.fromisoformat(manifest["timestamp"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
 
     def test_integrable_sweep_runs_without_numpy(self):
         loaded = _modules_after_cli(["integrable", "--model", "custom", "--poles", "0.6,1.0,1.4",

@@ -217,6 +217,12 @@ class TestSwapAndJson:
         with pytest.raises(LinalgError):
             from_json_dict({"dimA": 2, "re": [[1, 0], [0, 0]]})
 
+    def test_string_and_bool_entries_rejected(self):
+        # np.asarray(..., dtype=float) would read this as diag(0.5, 0.5)
+        with pytest.raises(LinalgError, match="JSON numbers"):
+            from_json_dict({"dimA": 1, "dimB": 2, "re": [["0.5", False], [False, "0.5"]],
+                            "im": [[0, 0], [0, 0]]})
+
 
 def test_pure_state_norm_check():
     with pytest.raises(LinalgError):
