@@ -15,6 +15,7 @@ produced it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -139,8 +140,8 @@ def mutual_info_correlator_bound(rho: DensityMatrix) -> float:
     information, over dichotomic a and b.
 
     The connected correlator is the bilinear form of X = rho - rho_A (x) rho_B,
-    maximised by ``_dichotomic_seesaw`` from ``CORRELATOR_STARTS`` random
-    starts drawn from seed 0, each run until stationary (at most 200 rounds).
+    maximised by ``_dichotomic_seesaw`` from ``CORRELATOR_STARTS`` starts drawn
+    from ``random.Random(0)``, each run until stationary (at most 200 rounds).
     """
     # the gap function loads here, so measures runs without the bounds module
     from . import bounds
@@ -149,7 +150,7 @@ def mutual_info_correlator_bound(rho: DensityMatrix) -> float:
         raise MeasureError("needs a bipartite state")
     da, db = rho.dimA, rho.dimB
     x = rho.matrix - np.kron(partial_trace(rho, "A").matrix, partial_trace(rho, "B").matrix)
-    rng = np.random.default_rng(0)
+    rng = _rng(0)
     starts = np.array([[_random_dichotomic(db, rng)] for _ in range(CORRELATOR_STARTS)])
     runs = _dichotomic_seesaw(x.reshape(da, db, da, db), np.ones((1, 1)), starts, 200)
     gap = 0.5 * max(run[0] for run in runs)
@@ -228,12 +229,25 @@ def _rel_ent_and_grad(
     return h, 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
-def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+def _rng(seed: int) -> random.Random:
+    """The generator of every random start: ``random.Random(seed)``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise MeasureError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(int(seed))
+
+
+def _complex_gauss(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussians: a block of real parts, then one of imaginary parts."""
+    g = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * math.prod(shape))]).reshape(2, *shape)
+    return g[0] + 1j * g[1]
+
+
+def _random_unit(d: int, rng: random.Random) -> np.ndarray:
+    v = _complex_gauss(rng, (d,))
     return v / np.linalg.norm(v)
 
 
-def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: np.random.Generator):
+def _schmidt_channel_init(rho_m: np.ndarray, da: int, db: int, k: int, rng: random.Random):
     """Seed components from the Schmidt channels of every eigenvector.
 
     For a pure state this reproduces the optimizing mixture exactly, so the
@@ -424,13 +438,13 @@ def _descend(rho_m, p, av, bv, max_iter, rel_tol=1e-10):
 
 
 def _er_starts(rho: DensityMatrix, k: int, restarts: int, seed: int) -> tuple:
-    """The Schmidt-channel start plus ``restarts - 1`` random mixtures,
-    stacked: p (R, k), av (R, dA, k), bv (R, dB, k)."""
+    """The Schmidt-channel start plus ``restarts - 1`` random mixtures drawn
+    from ``random.Random(seed)``, stacked: p (R, k), av (R, dA, k), bv (R, dB, k)."""
     da, db = rho.dimA, rho.dimB
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     starts = [_schmidt_channel_init(rho.matrix, da, db, k, rng)]
     for _ in range(restarts - 1):
-        p = rng.random(k)
+        p = np.array([rng.random() for _ in range(k)])
         starts.append((p / p.sum(),
                        np.column_stack([_random_unit(da, rng) for _ in range(k)]),
                        np.column_stack([_random_unit(db, rng) for _ in range(k)])))
@@ -707,11 +721,11 @@ def bell_correlation(
     """Seesaw lower bound on the maximal Bell correlation of the state.
 
     ``_dichotomic_seesaw`` on rho with the CHSH weights, from ``restarts``
-    random pairs (b_1, b_2); the first start with the highest value gives
-    the value and the certificate (a_1, a_2, b_1, b_2), which
-    ``bell_functional`` re-checks.  ``meta["iterations"]`` sums the starts'
-    rounds, and ``meta["stagnated"]`` says some start ran all
-    ``seesaw_iters`` rounds without becoming stationary.
+    random pairs (b_1, b_2) drawn from ``random.Random(seed)``; the first start
+    with the highest value gives the value and the certificate
+    (a_1, a_2, b_1, b_2), which ``bell_functional`` re-checks.  The starts'
+    rounds sum to ``meta["iterations"]``; ``meta["stagnated"]`` says some start
+    ran all ``seesaw_iters`` rounds without becoming stationary.
 
     The sqrt(2) ceiling checked on the result is Tsirelson's bound, which
     holds in every local dimension.  The maximally entangled state phi+_n
@@ -726,7 +740,7 @@ def bell_correlation(
     if restarts < 1 or seesaw_iters < 1:
         raise MeasureError("seesaw needs at least one start and one round")
     da, db = rho.dimA, rho.dimB
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     starts = np.array([[_random_dichotomic(db, rng) for _ in range(2)] for _ in range(restarts)])
     runs = _dichotomic_seesaw(rho.matrix.reshape(da, db, da, db), CHSH, starts, seesaw_iters)
     best, (a, b), _, _ = max(runs, key=lambda run: run[0])
@@ -740,10 +754,9 @@ def bell_correlation(
     )
 
 
-def _random_dichotomic(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(g)
-    signs = np.where(rng.random(d) < 0.5, 1.0, -1.0)
+def _random_dichotomic(d: int, rng: random.Random) -> np.ndarray:
+    q, _ = np.linalg.qr(_complex_gauss(rng, (d, d)))
+    signs = np.array([1.0 if rng.random() < 0.5 else -1.0 for _ in range(d)])
     return (q * signs) @ q.conj().T
 
 
@@ -818,16 +831,17 @@ def ordering_audit(
     """Evaluate the named measures once each, in the order given, and check
     the certified chain inequalities among them.
 
-    ``names`` is drawn from ``MEASURES``; an empty list or an unknown name
-    raises ``MeasureError`` before anything is computed.  ``seed`` goes to
-    E_R and E_B, ``er_restarts`` to E_R.  When EN and EM are both named,
-    ``links`` holds the two links provable from the certificates, as
-    ``{"name", "lhs", "rhs", "ok"}`` records: the relative entropy to the
-    normalized dominating functional never exceeds the dominance bound, and
-    the matrix-unit dominance bound never exceeds the modular bound built
-    from the same matrix units; otherwise it is empty.  ``values`` keys an
-    upper bound as ``<name>_upper``.  Every result is returned in
-    ``results``, so callers need not evaluate a measure again.
+    ``names`` is drawn from ``MEASURES``; an empty list, an unknown name or a
+    seed that is not a non-negative integer raises ``MeasureError`` before
+    anything is computed.  ``seed`` goes to E_R and E_B, ``er_restarts`` to
+    E_R.  When EN and EM are both named, ``links`` holds the two links
+    provable from the certificates, as ``{"name", "lhs", "rhs", "ok"}``
+    records: the relative entropy to the normalized dominating functional
+    never exceeds the dominance bound, and the matrix-unit dominance bound
+    never exceeds the modular bound built from the same matrix units;
+    otherwise it is empty.  ``values`` keys an upper bound as
+    ``<name>_upper``.  Every result is returned in ``results``, so callers
+    need not evaluate a measure again.
     """
     names = tuple(dict.fromkeys(names))
     if not names:
@@ -835,6 +849,7 @@ def ordering_audit(
     for name in names:
         if name not in _EVALUATE:
             raise MeasureError(f"unknown measure {name!r}")
+    _rng(seed)
     results = {name: _EVALUATE[name](rho, seed, er_restarts) for name in names}
     values = {(f"{name}_upper" if res.kind == UPPER else name): res.value
               for name, res in results.items()}

@@ -113,7 +113,7 @@ def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8,
     round's value re-evaluated by ``measures.bell_functional`` (a d^2 x d^2
     Kronecker product and matrix product per round); returns (value, total
     iterations)."""
-    from entbound.measures import _random_dichotomic, _sign_observable, bell_functional
+    from entbound.measures import _random_dichotomic, _rng, _sign_observable, bell_functional
 
     t = rho.matrix.reshape(rho.dimA, rho.dimB, rho.dimA, rho.dimB)
 
@@ -121,7 +121,7 @@ def bell_correlation_functional(rho, seesaw_iters: int = 200, restarts: int = 8,
         m = np.einsum("abcd,db->ac", t, op) if on_b else np.einsum("abcd,ca->bd", t, op)
         return 0.5 * (m + m.conj().T)
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     best = -np.inf
     total_iters = 0
     for _ in range(restarts):

@@ -299,21 +299,12 @@ class TestDeterminism:
             assert outs[1:] == [outs[0]] * 2, argv[0]
 
     def test_measures_same_bytes_in_process_and_fresh(self, tmp_path):
-        state = tmp_path / "rho.json"
-        save_state(random_density_matrix(2, 2, seed=4), state)
-        argv = ["measures", "--state", str(state), "--er-restarts", "3"]
-        outs = []
-        for name in ("a.json", "b.json"):
-            out = tmp_path / name
-            assert main(argv + ["--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        env.pop("ENTBOUND_THREADS", None)
-        fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
-                               env=env, capture_output=True, check=True)
-        outs.append(fresh.stdout)
-        assert b'"stop":' in outs[0]
-        assert outs[1:] == [outs[0]] * 2
+        _assert_measures_same_bytes(random_density_matrix(2, 2, seed=4), tmp_path)
+
+    def test_measures_same_bytes_where_the_restarts_set_er(self, tmp_path):
+        # on this 3x3 state a random restart, not the Schmidt-channel start,
+        # gives E_R at --er-restarts 3
+        _assert_measures_same_bytes(random_density_matrix(3, 3, seed=0), tmp_path)
 
     def test_measures_seeded_values_reproduce(self, tmp_path, phi_plus_file):
         outs = []
@@ -323,6 +314,24 @@ class TestDeterminism:
                   "--seed", "3", "--er-restarts", "2", "--out", str(out)])
             outs.append(json.loads(out.read_text()))
         assert outs[0] == outs[1]
+
+
+def _assert_measures_same_bytes(rho, tmp_path):
+    state = tmp_path / "rho.json"
+    save_state(rho, state)
+    argv = ["measures", "--state", str(state), "--er-restarts", "3"]
+    outs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("ENTBOUND_THREADS", None)
+    fresh = subprocess.run([sys.executable, "-m", "entbound.cli"] + argv,
+                           env=env, capture_output=True, check=True)
+    outs.append(fresh.stdout)
+    assert b'"stop":' in outs[0]
+    assert outs[1:] == [outs[0]] * 2
 
 
 def _modules_after(code: str) -> set[str]:
@@ -391,6 +400,19 @@ class TestImportCost:
         assert "entbound.measures" in loaded
         assert not loaded & {"entbound.gaussian", "entbound.integrable", "entbound.cft",
                              "entbound.sectors", "entbound.bounds"}
+
+    # the random starts of E_R, E_B and the correlator bound come from the
+    # standard library, so no measures path loads numpy.random
+    @pytest.mark.parametrize("argv", [
+        ["measures", "--er-restarts", "3"],
+        ["measures", "--measures", "EI,EN,EM,EB"],
+        ["lower"],
+    ], ids=["audit", "nuclear", "lower"])
+    def test_measures_paths_leave_numpy_random_unloaded(self, argv, phi_plus_file, tmp_path):
+        out = tmp_path / "out.json"
+        loaded = _modules_after_cli(argv + ["--state", phi_plus_file, "--out", str(out)])
+        assert out.exists() and "entbound.measures" in loaded
+        assert "numpy.random" not in loaded
 
     def test_dirac_and_measures_leave_scipy_unloaded(self, tmp_path, phi_plus_file):
         # scipy is imported inside the few functions that use it, so neither
@@ -697,6 +719,14 @@ class TestErrorExit:
                      "--er-restarts", restarts, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_negative_seed_exits_1(self, phi_plus_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["measures", "--state", phi_plus_file, "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["gaussian", "--sites", "3", "--regionA", "0..1", "--gap", "1"],

@@ -202,6 +202,14 @@ class TestRelativeEntanglementUpper:
         with pytest.raises(MeasureError):
             relative_entanglement_entropy_upper(faithful_2x2(0), **kwargs)
 
+    def test_seeds_differ_past_the_schmidt_channel_start(self):
+        rho = random_density_matrix(3, 3, seed=0)
+        zero, one = (measures._er_starts(rho, 2 * rho.dim, 3, seed) for seed in (0, 1))
+        for part0, part1, again in zip(zero, one, measures._er_starts(rho, 2 * rho.dim, 3, 0)):
+            assert np.array_equal(part0, again)
+            assert np.array_equal(part0[0], part1[0])
+            assert not np.allclose(part0[1:], part1[1:])
+
     def test_zero_value_stops_before_a_step(self):
         # a start that already reproduces a product state has nothing to descend
         ra, rb = random_density_matrix(2, seed=0).matrix, random_density_matrix(2, seed=1).matrix
@@ -330,9 +338,10 @@ class TestLockstepDescent:
 
     def test_one_eigh_per_round(self, monkeypatch):
         # lockstep: the stack costs as many eigh calls as its longest
-        # restart alone, not the sum over restarts
+        # restart alone, not the sum over restarts; start seed 1 gives three
+        # restarts of different lengths (42, 46 and 47 rounds)
         rho = random_density_matrix(2, 2, seed=0)
-        starts = measures._er_starts(rho, 2 * rho.dim, 3, 0)
+        starts = measures._er_starts(rho, 2 * rho.dim, 3, 1)
         calls = [0]
         eigh = np.linalg.eigh
 
@@ -661,6 +670,21 @@ class TestOrderingAudit:
         monkeypatch.setattr(measures, "mutual_information", fail)
         with pytest.raises(MeasureError):
             ordering_audit(maximally_entangled(2), names=names)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected_before_computing(self, seed, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a measure was evaluated")
+
+        monkeypatch.setattr(measures, "mutual_information", fail)
+        with pytest.raises(MeasureError, match="seed"):
+            ordering_audit(maximally_entangled(2), names=("EI",), seed=seed)
+
+    @pytest.mark.parametrize("measure", [relative_entanglement_entropy_upper, bell_correlation])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, measure, seed):
+        with pytest.raises(MeasureError, match="seed"):
+            measure(maximally_entangled(2), seed=seed)
 
     def test_links_need_en_and_em(self):
         rep = ordering_audit(faithful_2x2(0), names=("EI", "EN"))
