@@ -121,7 +121,11 @@ def emit_rows(args, header: list[str], rows: list[dict]) -> int:
 def _map_rows(fn, points):
     """Rows in parameter order; each worker row runs in a copy of the
     caller's context, so it sees the caller's tolerance profile."""
-    threads = int(os.environ.get("ENTBOUND_THREADS", "1"))
+    raw = os.environ.get("ENTBOUND_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError(f"ENTBOUND_THREADS={raw!r} is not an integer") from None
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -262,19 +266,13 @@ def _load_spectrum(path: str):
 
 
 def cmd_cft(args) -> int:
-    import numpy as np
-
     from . import cft as cft_mod
 
     out: dict = {}
     if args.diamonds:
         cfg_raw = json.loads(Path(args.diamonds).read_text(encoding="utf-8"))
-        cfg = cft_mod.DiamondConfig(
-            x_a_plus=np.array(cfg_raw["x_a_plus"], dtype=float),
-            x_a_minus=np.array(cfg_raw["x_a_minus"], dtype=float),
-            x_b_plus=np.array(cfg_raw["x_b_plus"], dtype=float),
-            x_b_minus=np.array(cfg_raw["x_b_minus"], dtype=float),
-        )
+        cfg = cft_mod.DiamondConfig(**{k: cfg_raw[k] for k in
+                                       ("x_a_plus", "x_a_minus", "x_b_plus", "x_b_minus")})
         u, v = cft_mod.cross_ratios(cfg)
         tau, theta = cft_mod.tau_theta(u, v)
         out.update({"u": u, "v": v, "tau": tau, "theta": theta})

@@ -66,6 +66,8 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class LatticeGaussianState:
+    """Ground state kept as read-only C^{+-1/4}, the only powers ``region_projectors`` reads."""
+
     geometry: LatticeGeometry
     powers: dict = field(repr=False)
 
@@ -83,16 +85,17 @@ def laplacian(geom: LatticeGeometry) -> np.ndarray:
 
 
 def build_state(geom: LatticeGeometry) -> LatticeGaussianState:
-    """Ground-state capacity operator and its cached fractional powers."""
-    k = -laplacian(geom) + geom.mass**2 * np.eye(geom.sites)
-    w, v = np.linalg.eigh(k)
+    """Ground state as C^{+-1/4}; C^{+-1/2} are formed only to check they invert."""
+    w, v = np.linalg.eigh(-laplacian(geom) + geom.mass**2 * np.eye(geom.sites))
     if w.min() <= 0:
         raise GaussianError("kinetic operator is not positive definite")
     cw = 1.0 / w
-    powers = {p: (v * cw**p) @ v.T for p in (1.0, 0.5, -0.5, 0.25, -0.25)}
-    ident = powers[0.5] @ powers[-0.5]
-    if np.linalg.norm(ident - np.eye(geom.sites)) > 1e-9 * geom.sites:
+    resid = np.linalg.norm((v * cw**0.5) @ v.T @ ((v * cw**-0.5) @ v.T) - np.eye(geom.sites))
+    if resid > 1e-9 * geom.sites:
         raise GaussianError("fractional powers do not invert; spectrum ill-conditioned")
+    powers = {p: (v * cw**p) @ v.T for p in (0.25, -0.25)}
+    for m in powers.values():
+        m.flags.writeable = False
     return LatticeGaussianState(geometry=geom, powers=powers)
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def small_state(sites=16, mass=1.0, spacing=1.0, boundary="dirichlet"):
     return build_state(LatticeGeometry(sites, spacing, mass, boundary))
 
 
+def capacity(state):
+    """C itself, from the stored C^{1/4}."""
+    return np.linalg.matrix_power(state.c_power(0.25), 4)
+
+
 def upper_of(state, regions):
     return kg_upper_bound(principal_cosines(state, regions)[0])
 
@@ -58,31 +64,88 @@ class TestBuildState:
                 k[i, i + 1] = -1.0
                 k[i + 1, i] = -1.0
         want = np.linalg.inv(k)
-        assert np.linalg.norm(state.c_power(1.0) - want) <= 1e-10
+        assert np.linalg.norm(capacity(state) - want) <= 1e-10
 
     def test_large_mass_limit(self):
         with pytest.warns(UserWarning, match="mass-dominated"):
             geom = LatticeGeometry(12, 1.0, 50.0, "dirichlet")
         state = build_state(geom)
         scale = np.linalg.norm(np.eye(12) / 50.0**2)
-        assert np.linalg.norm(state.c_power(1.0) - np.eye(12) / 50.0**2) <= 0.01 * scale
+        assert np.linalg.norm(capacity(state) - np.eye(12) / 50.0**2) <= 0.01 * scale
 
     def test_periodic_circulant_eigenvalues(self):
         n, a, m = 16, 0.5, 1.0
         state = build_state(LatticeGeometry(n, a, m, "periodic"))
-        w = np.sort(np.linalg.eigvalsh(state.c_power(1.0)))
+        w = np.sort(np.linalg.eigvalsh(capacity(state)))
         want = np.sort([1.0 / (m**2 + 4.0 * math.sin(math.pi * k / n) ** 2 / a**2) for k in range(n)])
         assert np.allclose(w, want, atol=1e-12)
 
     def test_purity_surrogate(self):
         state = small_state()
         n = state.geometry.sites
-        assert np.linalg.norm(state.c_power(0.5) @ state.c_power(-0.5) - np.eye(n)) <= 1e-9 * n
+        assert np.linalg.norm(state.c_power(0.25) @ state.c_power(-0.25) - np.eye(n)) <= 1e-9 * n
 
     def test_capacity_norm_bounded_by_mass(self):
         state = small_state(mass=0.7)
-        top = np.linalg.eigvalsh(state.c_power(1.0)).max()
+        top = np.linalg.eigvalsh(capacity(state)).max()
         assert top <= 1.0 / 0.7**2 + 1e-9
+
+    def test_keeps_only_the_read_only_quarter_powers(self):
+        # sweep worker threads share one state, so no caller may write to it
+        state = small_state()
+        assert sorted(state.powers) == [-0.25, 0.25]
+        for p in (0.25, -0.25):
+            with pytest.raises(ValueError, match="read-only"):
+                state.c_power(p)[0, 0] = 0.0
+
+    def test_traced_peak_holds_four_dense_matrices(self):
+        # C^{+-1/2} live only through the inversion check and C is never
+        # formed, so the peak holds four n x n doubles: the eigenbasis with
+        # C^{+-1/2} and their product, or later with C^{+-1/4} and a factor
+        geom = LatticeGeometry(256, 0.25, 1.0)
+        build_state(LatticeGeometry(16, 0.25, 1.0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            build_state(geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = geom.sites
+        assert peak <= (4 * n + 32) * n * 8
+
+    def test_ill_conditioned_powers_are_rejected(self, monkeypatch):
+        # a basis 1e-6 off orthonormal leaves |C^{1/2} C^{-1/2} - I| at
+        # 2.8e-6 on 16 sites, far above the 1.6e-8 (1e-9 n) the check allows
+        eigh = np.linalg.eigh
+
+        def skewed(k):
+            w, v = eigh(k)
+            v[:, 0] += 1e-6 * v[:, 1]
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(GaussianError, match="fractional powers do not invert"):
+            small_state()
+
+    @pytest.mark.parametrize("mass", [0.6, 0.8, 1.0, 1.2])
+    def test_inversion_residual_is_the_dense_check(self, mass, monkeypatch):
+        # on the benchmark's gaussian geometries (its trial seeds do not
+        # change them) the residual build_state checks is, bit for bit,
+        # norm(C^{1/2} C^{-1/2} - I) with both powers formed from the eigenbasis
+        geom = LatticeGeometry(256, 0.25, mass)
+        norm = np.linalg.norm
+        seen = []
+
+        def recording(x, *args, **kwargs):
+            seen.append(norm(x, *args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        build_state(geom)
+        monkeypatch.undo()
+        w, v = np.linalg.eigh(-laplacian(geom) + mass**2 * np.eye(geom.sites))
+        half, neg_half = ((v * (1.0 / w) ** p) @ v.T for p in (0.5, -0.5))
+        assert seen == [norm(half @ neg_half - np.eye(geom.sites))]
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_laplacian_matches_site_loop(self, boundary):
