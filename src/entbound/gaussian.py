@@ -66,7 +66,8 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class LatticeGaussianState:
-    """Ground state kept as read-only C^{+-1/4}, the only powers ``region_projectors`` reads."""
+    """Ground state kept as C^{+-1/4}, the only powers ``region_projectors`` reads;
+    read-only, since a sweep's worker threads share one state."""
 
     geometry: LatticeGeometry
     powers: dict = field(repr=False)
