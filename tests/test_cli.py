@@ -583,20 +583,6 @@ class TestOtherCommands:
         assert main(["dirac", "--m", "1.0", "--eps", "0.1,0.05,0.025", "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
-    def test_gaussian_threads_write_the_serial_bytes(self, tmp_path, monkeypatch):
-        # the benchmark's 256-site sweep: two worker threads read the one
-        # state's read-only quarter powers for its nine rows
-        argv = ["gaussian", "--sites", "256", "--mass", "0.8", "--spacing", "0.25",
-                "--regionA", "24..39", "--gap", "6..22..2", "--trials", "48", "--seed", "1"]
-        outs = []
-        for threads in ("2", "1"):
-            monkeypatch.setenv("ENTBOUND_THREADS", threads)
-            out = tmp_path / f"threads{threads}.csv"
-            assert main(argv + ["--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0].count(b"\n") == 10
-        assert outs[0] == outs[1]
-
     @pytest.mark.parametrize("threads", ["1", "0", "-1"])
     def test_thread_counts_below_2_start_no_pool(self, threads, monkeypatch, capsys):
         import concurrent.futures
